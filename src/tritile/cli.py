@@ -1,7 +1,8 @@
 """Command-line frontend: generate, validate, audit, inspect and render
 tilings in the TILING/1 format.
 
-Exit codes: 0 success, 1 failed checks or bad input data, 2 usage error.
+Exit codes: 0 success, 1 failed checks or bad input data, 2 usage error,
+3 internal error (a bug: one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from .incidence import build_incidence, graph_audit
 from .model import TilingParseError, TilingPatch, parse_tiling, serialize_tiling, side_length_range
 from .radicals import fraction_decimal
 from .report import AuditRecord
-from .stretches import (decompose_stretches, eq1_audit, epsilon2,
-                        no_shared_side_conditions, shared_side_pairs,
-                        side_labels, w_audit)
+from .stretches import eq1_audit, no_shared_side_conditions, w_audit
 from .svg import render_svg
 from .validate import validate_patch
 
@@ -74,22 +73,20 @@ def _cmd_validate(args) -> int:
 
 def _cmd_audit(args) -> int:
     patch = _load(args.file)
-    report = validate_patch(patch)
+    report = patch.validation
     if not report.ok:
         sys.stdout.write(report.render())
         return 1
 
     records: list[AuditRecord] = []
-    graph = build_incidence(patch, validated=True, region=report.derived_region)
+    graph = build_incidence(patch)
+    stretches, shared = graph.decomposition
     records.append(graph_audit(graph))
     records.append(eq1_audit(graph))
-    stretches, _ = decompose_stretches(graph)
     records.append(no_shared_side_conditions(graph, stretches))
-    labels = side_labels(graph, stretches)
-    audit = w_audit(graph, stretches, labels, unit_perimeter=args.unit_perimeter)
+    audit = w_audit(graph, stretches, graph.labels, unit_perimeter=args.unit_perimeter)
     records.append(audit.record)
 
-    shared = shared_side_pairs(graph)
     summary = AuditRecord("shared-sides")
     summary.info("count", len(shared))
     for t1, t2, seg in shared:
@@ -130,8 +127,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_stretches(args) -> int:
     patch = _load(args.file)
-    graph = build_incidence(patch)
-    stretches, shared = decompose_stretches(graph)
+    stretches, shared = build_incidence(patch).decomposition
     for st in stretches:
         print(f"stretch {st.describe()}")
     for t1, t2, seg in shared:
@@ -157,7 +153,7 @@ def _cmd_stats(args) -> int:
     digits = max(12, args.precision_bits // 3)
     rec.info("min_side", f"[{fraction_decimal(lo.lo, digits)}, {fraction_decimal(lo.hi, digits)}]")
     rec.info("max_side", f"[{fraction_decimal(hi.lo, digits)}, {fraction_decimal(hi.hi, digits)}]")
-    rec.info("epsilon2", f"~{epsilon2(patch).decimal_str()}")
+    rec.info("epsilon2", f"~{graph.eps2.decimal_str()}")
     sys.stdout.write(rec.render())
     return 0
 
@@ -250,6 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     except (TilingParseError, GeneratorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: report it in one line, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from .incidence import EdgeClass, IncidenceGraph, build_incidence
 from .model import TilingPatch
 from .radicals import LengthExpr, Ordering
 from .report import AuditRecord
-from .stretches import (StretchClass, decompose_stretches, epsilon2,
-                        shared_side_pairs)
+from .stretches import StretchClass
 
 
 def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
@@ -45,8 +44,7 @@ def _vertex_incident_tiles(graph: IncidenceGraph) -> dict[Point, set[int]]:
     return incident
 
 
-def fill_holes(ambient: TilingPatch, selected: set[int],
-               graph: IncidenceGraph | None = None) -> TilingPatch:
+def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     """Add every ambient tile lying in a bounded complementary component
     of the selected union; the result is simply connected.
 
@@ -56,8 +54,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int],
         raise ValueError("empty selection")
     if not selected <= set(range(len(ambient.tiles))):
         raise ValueError("selection is not a subset of the ambient patch")
-    if graph is None:
-        graph = build_incidence(ambient)
+    graph = build_incidence(ambient)
 
     incident = _vertex_incident_tiles(graph)
     touch: dict[int, set[int]] = {i: set() for i in range(graph.t)}
@@ -79,7 +76,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int],
     # complementary components of the selection, by edge adjacency among
     # unselected tiles; a component is a hole unless it reaches the
     # ambient boundary through an atomic edge
-    adj = graph.tile_adjacency()
+    adj = graph.adjacency
     on_ambient_boundary = {
         e.incidences[0][0] for e in graph.soup.edges
         if e.boundary_class is not EdgeClass.INTERNAL}
@@ -105,12 +102,10 @@ def fill_holes(ambient: TilingPatch, selected: set[int],
     return patch.with_region(derive_region(patch))
 
 
-def boundary_ring(ambient: TilingPatch, patch: TilingPatch,
-                  graph: IncidenceGraph | None = None) -> list[int]:
+def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
     """Ambient tiles outside the patch whose closure touches its boundary
     (vertex contact included)."""
-    if graph is None:
-        graph = build_incidence(ambient)
+    graph = build_incidence(ambient)
     index = {t: i for i, t in enumerate(ambient.tiles)}
     try:
         inside = {index[t] for t in patch.tiles}
@@ -169,8 +164,8 @@ def extract_disk_patch(ambient: TilingPatch, center: Point, r_sq: Fraction) -> E
     selected = restrict_to_disk(ambient, center, r_sq)
     if not selected:
         raise ValueError("disk does not meet the patch")
-    patch = fill_holes(ambient, selected, graph)
-    ring = boundary_ring(ambient, patch, graph)
+    patch = fill_holes(ambient, selected)
+    ring = boundary_ring(ambient, patch)
     sub = build_incidence(patch)
     return ExtractionResult(patch, ring, center, r_sq,
                             _disk_plus_one_covered(graph, center, r_sq),
@@ -193,13 +188,12 @@ def asymptotic_audit(ambient: TilingPatch | None, patch: TilingPatch,
     """
     rec = AuditRecord("asymptotic-audit")
     g = build_incidence(patch)
-    stretches, _ = decompose_stretches(g)
-    shared = shared_side_pairs(g)
+    stretches, shared = g.decomposition
     sigma = sum(1 for s in stretches if s.klass is StretchClass.TIGHT)
     loose = sum(s.size for s in stretches if s.klass is not StretchClass.TIGHT)
     t = g.t
     t_prime = len(ring)
-    eps2 = epsilon2(patch)
+    eps2 = g.eps2
 
     min_side_sq = min(s for tile in patch.tiles for s in tile.squared_sides())
     min_area = min(tile.area for tile in patch.tiles)

@@ -1,6 +1,6 @@
 """Exact constructions of the test-corpus tiling families.
 
-Every generator self-validates its output and raises
+Every generator self-validates its output, once, and raises
 :class:`GeneratorError` instead of returning a broken patch.
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from .geometry import (Point, Triangle, cross, reflect_across_bisector,
                        reflect_across_line, reflect_through_midpoint)
 from .model import TilingPatch
-from .validate import derive_region, validate_patch
+from .validate import validate_patch
 
 F = Fraction
 
@@ -24,12 +24,13 @@ class GeneratorError(ValueError):
 
 
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
+    """Validate once; a patch without a region gets the derived one."""
     report = validate_patch(patch)
     if not report.ok:
         raise GeneratorError(
             f"{what} produced an invalid patch: "
             + "; ".join(v.describe() for v in report.violations))
-    return patch
+    return patch if patch.region is not None else patch.with_region(report.derived_region)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,9 +121,7 @@ def gen_two_scale_periodic(spec: TwoScaleSpec) -> TilingPatch:
 
     meta = (("generator", "twoscale"), ("b", str(b)), ("h", str(h)),
             ("m", str(spec.m)), ("n", str(spec.n)))
-    patch = TilingPatch(tuple(tiles), None, meta)
-    region = derive_region(patch)
-    return _self_validate(patch.with_region(region), "two-scale pattern")
+    return _self_validate(TilingPatch(tuple(tiles), None, meta), "two-scale pattern")
 
 
 def convex_polygon_on_circle(k: int, seed: int | None = None) -> tuple[Point, ...]:
@@ -220,6 +219,5 @@ def gen_reflected_pair(t: Triangle, kind: str) -> TilingPatch:
     t2 = Triangle(x, y, zp)
     patch = TilingPatch((t, t2), None, meta)
     if kind in ("line", "midpoint"):
-        patch = patch.with_region(derive_region(patch))
         return _self_validate(patch, "reflected pair")
     return patch

@@ -147,9 +147,6 @@ class Triangle:
         """Side i runs from vertex i to vertex i+1 (mod 3)."""
         return ((self.a, self.b), (self.b, self.c), (self.c, self.a))
 
-    def opposite_vertex(self, side_index: int) -> Point:
-        return self.vertices[(side_index + 2) % 3]
-
     @property
     def area(self) -> Fraction:
         return cross(self.a, self.b, self.c) / 2

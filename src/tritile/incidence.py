@@ -12,6 +12,7 @@ for invalid input the soup still supports the validator's certificate.
 The :class:`IncidenceGraph` wraps the soup for a *validated* patch and
 exposes the counting quantities (vertex/edge/face counts, boundary edge
 classes, subdividing vertices) that the combinatorial audits consume.
+It is built once per patch and caches what later layers derive from it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .geometry import Point, Triangle
 from .model import TilingPatch
 from .report import AuditRecord
+
+if TYPE_CHECKING:
+    from .radicals import LengthExpr
+    from .stretches import SideLabel, Stretch
+    from .validate import ValidationReport
 
 LineKey = tuple[Fraction, Fraction, Fraction]
 
@@ -240,7 +248,30 @@ class IncidenceGraph:
         return sum(1 for e in self.soup.edges
                    if e.boundary_class is EdgeClass.PARTIAL_BOUNDARY)
 
-    def tile_adjacency(self) -> dict[int, set[int]]:
+    @classmethod
+    def from_report(cls, patch: TilingPatch, report: ValidationReport) -> IncidenceGraph:
+        """Graph of a patch from its validation report, reusing its soup."""
+        if not report.ok:
+            raise ValueError(
+                "invalid patch: " + "; ".join(v.describe() for v in report.violations))
+        soup = report.soup
+        classify_boundary(soup)
+
+        boundary_pts = {p for e in soup.edges if e.boundary_class is not EdgeClass.INTERNAL
+                        for p in (e.a, e.b)}
+
+        vertices: dict[Point, VertexFlags] = {}
+        for p in sorted(soup.corner_tiles, key=Point.key):
+            subs = soup.vertex_subdivides.get(p, [])
+            vertices[p] = VertexFlags(
+                boundary=p in boundary_pts,
+                subdividing=bool(subs),
+                sides_subdivided=len(subs),
+            )
+        return cls(patch, soup, vertices, report.derived_region, len(boundary_pts))
+
+    @cached_property
+    def adjacency(self) -> dict[int, set[int]]:
         """Tiles sharing a positive-length boundary segment."""
         adj: dict[int, set[int]] = {i: set() for i in range(self.t)}
         for edge in self.soup.edges:
@@ -250,43 +281,35 @@ class IncidenceGraph:
                 adj[t2].add(t1)
         return adj
 
+    # Facts that tritile.stretches derives from the graph, computed once by
+    # its public functions; callers share them and must not mutate them.
 
-def build_incidence(patch: TilingPatch, *, validated: bool = False,
-                    region: tuple[Point, ...] | None = None) -> IncidenceGraph:
-    """Build the incidence graph; validates the patch first unless told
-    the caller already did."""
-    from .validate import validate_patch  # local import, validator uses the soup
+    @cached_property
+    def decomposition(self) -> tuple[list[Stretch], list[tuple[int, int, tuple[Point, Point]]]]:
+        """The stretches and the shared sides, as decompose_stretches gives them."""
+        from .stretches import decompose_stretches
+        return decompose_stretches(self)
 
-    if not validated:
-        rep = validate_patch(patch)
-        if not rep.ok:
-            raise ValueError(
-                "invalid patch: " + "; ".join(v.describe() for v in rep.violations))
-        region = rep.derived_region
+    @cached_property
+    def labels(self) -> dict[tuple[int, int], SideLabel]:
+        from .stretches import side_labels
+        return side_labels(self, self.decomposition[0])
 
-    soup = build_soup(patch.tiles)
-    classify_boundary(soup)
+    @cached_property
+    def eps2(self) -> LengthExpr:
+        from .stretches import epsilon2
+        return epsilon2(self.patch)
 
-    boundary_pts: set[Point] = set()
-    for edge in soup.edges:
-        if edge.boundary_class is not EdgeClass.INTERNAL:
-            boundary_pts.add(edge.a)
-            boundary_pts.add(edge.b)
+    @cached_property
+    def composite_hops(self) -> list[int | None]:
+        from .stretches import composite_hop_distances
+        return composite_hop_distances(self)
 
-    vertices: dict[Point, VertexFlags] = {}
-    for p in sorted(soup.corner_tiles, key=Point.key):
-        subs = soup.vertex_subdivides.get(p, [])
-        vertices[p] = VertexFlags(
-            boundary=p in boundary_pts,
-            subdividing=bool(subs),
-            sides_subdivided=len(subs),
-        )
 
-    if region is None:
-        from .validate import derive_region
-        region = derive_region(patch)
-
-    return IncidenceGraph(patch, soup, vertices, region, len(boundary_pts))
+def build_incidence(patch: TilingPatch) -> IncidenceGraph:
+    """The incidence graph of a valid patch (ValueError if invalid), built
+    once from the validator's own soup and cached on the patch."""
+    return patch.incidence
 
 
 def graph_audit(g: IncidenceGraph) -> AuditRecord:

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .geometry import Point, Triangle, format_rational, parse_rational, sq_dist
 from .radicals import Interval, LengthExpr
+
+if TYPE_CHECKING:
+    from .incidence import IncidenceGraph
+    from .validate import ValidationReport
 
 MAGIC = "#TILING 1"
 
@@ -36,7 +42,8 @@ class TilingPatch:
 
     Tile order is preserved and serves as the stable tile identifier in
     every report.  The patch itself is plain data; whether the tiles
-    actually tile the region is the validator's business.
+    actually tile the region is the validator's business.  A patch is
+    immutable, so its analysis is computed on first use and kept on it.
     """
 
     tiles: tuple[Triangle, ...]
@@ -62,6 +69,18 @@ class TilingPatch:
 
     def with_region(self, region: tuple[Point, ...] | None) -> "TilingPatch":
         return TilingPatch(self.tiles, region, self.metadata)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The validator's report on this patch, with the edge soup it built."""
+        from .validate import validate_patch
+        return validate_patch(self)
+
+    @cached_property
+    def incidence(self) -> IncidenceGraph:
+        """The incidence graph; see :func:`tritile.incidence.build_incidence`."""
+        from .incidence import IncidenceGraph
+        return IncidenceGraph.from_report(self, self.validation)
 
 
 def polygon_area(poly: tuple[Point, ...]) -> Fraction:
@@ -188,12 +207,7 @@ def side_length_range(patch: TilingPatch, precision_bits: int = 64) -> tuple[Int
     lo_sq, hi_sq = min(squares), max(squares)
 
     def enclose(s: Fraction) -> Interval:
-        expr = LengthExpr.sqrt(s)
-        bits = 8
-        while True:
-            iv = expr.enclosure(bits)
-            if iv.width * (1 << precision_bits) <= iv.midpoint:
-                return iv
-            bits *= 2
+        return LengthExpr.sqrt(s).refine_until(
+            lambda iv: iv.width * (1 << precision_bits) <= iv.midpoint, 8)
 
     return enclose(lo_sq), enclose(hi_sq)

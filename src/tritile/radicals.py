@@ -13,12 +13,15 @@ rationals (square roots of distinct squarefree kernels are), so the
 expression is zero exactly when no term survives.  That makes equality
 decidable by pure rational arithmetic.  Strict comparisons are decided by
 interval refinement with doubling precision, which terminates because the
-difference is known to be nonzero by the time refinement starts.
+difference is known to be nonzero by the time refinement starts: the
+enclosure width shrinks to 0 as the precision doubles, so it eventually
+excludes 0, however large the coordinates are.  There is no precision cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,9 +31,6 @@ ONE = Fraction(1)
 
 #: First precision used when refining an enclosure for a sign decision.
 START_BITS = 64
-#: Hard cap on refinement precision.  Reaching it means the expression was
-#: nonzero by the exact test yet numerically unresolvable, i.e. a bug.
-MAX_BITS = 4096
 
 
 class Ordering(Enum):
@@ -204,35 +204,29 @@ class LengthExpr:
                 total = total + sqrt_enclosure(r, bits).scale(c)
         return total
 
-    def refine(self, max_width: Fraction, start_bits: int = START_BITS,
-               max_bits: int = MAX_BITS) -> Interval:
-        """Enclosure with width at most max_width."""
+    def refine_until(self, done: Callable[[Interval], bool],
+                     start_bits: int = START_BITS) -> Interval:
+        """First enclosure at start_bits, 2*start_bits, ... that `done`
+        accepts; terminates if `done` accepts every narrow enough one."""
         bits = start_bits
-        while True:
-            iv = self.enclosure(bits)
-            if iv.width <= max_width:
-                return iv
-            if bits >= max_bits:
-                raise RuntimeError(
-                    f"enclosure did not reach width {max_width} at {bits} bits")
-            bits = min(2 * bits, max_bits)
+        while not done(iv := self.enclosure(bits)):
+            bits *= 2
+        return iv
 
-    def sign(self, max_bits: int = MAX_BITS) -> int:
+    def refine(self, max_width: Fraction, start_bits: int = START_BITS) -> Interval:
+        """Enclosure with width at most max_width (which must be positive)."""
+        if max_width <= 0:
+            raise ValueError("max_width must be positive")
+        return self.refine_until(lambda iv: iv.width <= max_width, start_bits)
+
+    def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
         if not self._terms:
             return 0
-        bits = START_BITS
-        while True:
-            iv = self.enclosure(bits)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-            if bits >= max_bits:
-                # cannot happen for a genuinely nonzero canonical expression
-                raise RuntimeError(
-                    f"sign of nonzero expression unresolved at {bits} bits: {self!r}")
-            bits = min(2 * bits, max_bits)
+        # a nonzero canonical form has a nonzero value (module docstring),
+        # so some enclosure excludes 0
+        iv = self.refine_until(lambda iv: iv.lo > 0 or iv.hi < 0)
+        return 1 if iv.lo > 0 else -1
 
     def compare(self, other: "LengthExpr") -> Ordering:
         return Ordering((self - other).sign())
@@ -282,11 +276,6 @@ class LengthExpr:
             return "0"
         iv = self.refine(Fraction(1, 10 ** (digits + 2)))
         return fraction_decimal(iv.midpoint, digits)
-
-
-def compare_length_sums(e1: LengthExpr, e2: LengthExpr) -> Ordering:
-    """Exact ordering of two sums of square roots."""
-    return e1.compare(e2)
 
 
 def fraction_decimal(q: Fraction, digits: int) -> str:

@@ -172,19 +172,8 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
 
 
 def shared_side_pairs(g: IncidenceGraph) -> list[tuple[int, int, tuple[Point, Point]]]:
-    """Unordered tile pairs possessing an identical full side."""
-    by_segment: dict[tuple, list[int]] = {}
-    for i, t in enumerate(g.tiles):
-        for p, q in t.sides():
-            seg = (p, q) if p.key() <= q.key() else (q, p)
-            by_segment.setdefault(seg, []).append(i)
-    pairs = []
-    for seg, tiles in by_segment.items():
-        tiles = sorted(tiles)
-        for i in range(len(tiles)):
-            for j in range(i + 1, len(tiles)):
-                pairs.append((tiles[i], tiles[j], seg))
-    return sorted(pairs, key=lambda s: (s[0], s[1]))
+    """Unordered tile pairs with an identical full side (cached on the graph)."""
+    return g.decomposition[1]
 
 
 def side_labels(g: IncidenceGraph, stretches: list[Stretch]) -> dict[tuple[int, int], SideLabel]:
@@ -265,7 +254,7 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
 class WAudit:
     applicable: bool
     sigma_tight: int
-    loose_total_size: int               # alias L_loose: a count of sides
+    loose_total_size: int               # L_loose: a count of sides
     e_full: int
     e_part: int
     epsilon2: LengthExpr
@@ -276,10 +265,6 @@ class WAudit:
     type_counts: dict[str, int]
     contributions: list[LengthExpr]
     record: AuditRecord = field(default_factory=lambda: AuditRecord("w-audit"))
-
-    @property
-    def L_loose(self) -> int:
-        return self.loose_total_size
 
 
 def w_audit(g: IncidenceGraph, stretches: list[Stretch],
@@ -293,12 +278,11 @@ def w_audit(g: IncidenceGraph, stretches: list[Stretch],
     present every check is reported n/a.
     """
     rec = AuditRecord("w-audit")
-    eps2 = epsilon2(g.patch) if eps2 is None else eps2
+    eps2 = g.eps2 if eps2 is None else eps2
     sigma = sum(1 for s in stretches if s.klass is StretchClass.TIGHT)
     loose = sum(s.size for s in stretches if s.klass is not StretchClass.TIGHT)
 
-    shared = shared_side_pairs(g)
-    if shared:
+    if shared_side_pairs(g):
         rec.not_applicable("w_routes_agree", "patch has shared sides")
         return WAudit(False, sigma, loose, g.e_full, g.e_part, eps2, 0, 0,
                       LengthExpr(), LengthExpr(), {}, [], rec)
@@ -392,11 +376,9 @@ def w_audit(g: IncidenceGraph, stretches: list[Stretch],
         rec.info(name, count)
     rec.check("type1_nonnegative", checks["type1_nonnegative"])
     if unit_perimeter:
-        rec.check("unit_perimeter", checks["unit_perimeter"])
-        rec.check("type0_zero", checks["type0_zero"])
-        rec.check("type2_bound", checks["type2_bound"])
-        rec.check("type3_value", checks["type3_value"])
-        rec.check("exceptional_bound", checks["exceptional_bound"])
+        for name in ("unit_perimeter", "type0_zero", "type2_bound", "type3_value",
+                     "exceptional_bound"):
+            rec.check(name, checks[name])
 
     return WAudit(True, sigma, loose, g.e_full, g.e_part, eps2, n_long, n_short,
                   w_def, w_id, type_counts, contributions, rec)
@@ -432,30 +414,30 @@ def composite_sides(g: IncidenceGraph) -> list[tuple[int, int, tuple[tuple[int, 
     return sorted(result)
 
 
+def composite_hop_distances(g: IncidenceGraph) -> list[int | None]:
+    """Per tile, the least number of neighbor hops to a tile owning a
+    composite side (None when unreachable), by one multi-source BFS."""
+    hops: list[int | None] = [None] * g.t
+    frontier = sorted({t for t, _, _ in composite_sides(g)})
+    for t in frontier:
+        hops[t] = 0
+    adj = g.adjacency
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if hops[w] is None:
+                    hops[w] = dist
+                    nxt.append(w)
+        frontier = nxt
+    return hops
+
+
 def neighbor_hops_to_composite(g: IncidenceGraph, tile: int) -> int | None:
     """Least number of neighbor hops from `tile` to a tile owning a
     composite side; None when no such tile exists in the patch."""
     if not 0 <= tile < g.t:
         raise IndexError(f"tile {tile} out of range")
-    targets = {t for t, _, _ in composite_sides(g)}
-    if not targets:
-        return None
-    if tile in targets:
-        return 0
-    adj = g.tile_adjacency()
-    seen = {tile}
-    frontier = [tile]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                if w in targets:
-                    return hops
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return None
+    return g.composite_hops[tile]

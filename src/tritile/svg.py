@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geometry import Point
 from .incidence import build_incidence
 from .model import TilingPatch
-from .stretches import StretchClass, decompose_stretches
+from .stretches import StretchClass
 
 _TILE_FILL = "#f4e8d0"
 _STROKE = "#202020"
@@ -57,8 +57,7 @@ def render_svg(patch: TilingPatch, *, width_px: int = 800,
                    f'stroke="{_STROKE}" stroke-width="1"/>')
 
     if stretch_overlay or label_long_short:
-        graph = build_incidence(patch)
-        stretches, _ = decompose_stretches(graph)
+        stretches, _ = build_incidence(patch).decomposition
         if stretch_overlay:
             for st in stretches:
                 (x1, y1), (x2, y2) = to_px(st.a), to_px(st.b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import Point, cross, point_on_segment_interior
-from .incidence import AtomicEdge, build_soup, line_through, line_pos
+from .incidence import AtomicEdge, EdgeSoup, build_soup, line_through, line_pos
 from .model import TilingPatch, polygon_area
 
 OVERLAP = "OVERLAP"
@@ -46,6 +46,8 @@ class ValidationReport:
     ok: bool
     violations: list[Violation]
     derived_region: tuple[Point, ...] | None
+    # the soup the checks ran on, handed over to the incidence graph
+    soup: EdgeSoup | None = field(default=None, repr=False, compare=False)
 
     def render(self) -> str:
         lines = [f"valid = {'yes' if self.ok else 'no'}"]
@@ -289,7 +291,7 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                 violations.append(Violation(
                     REGION_MISMATCH, (), "derived boundary differs from region"))
 
-    return ValidationReport(not violations, violations, derived)
+    return ValidationReport(not violations, violations, derived, soup)
 
 
 def _geometric_boundary_checks(boundary: list[AtomicEdge]) -> list[Violation]:

@@ -98,10 +98,10 @@ def test_criterion_3_recursive_structure():
         for depth in range(11):
             patch = _recursive(depth, t)
             assert len(patch.tiles) == 3 * depth + 1
-            report = validate_patch(patch)
+            report = patch.validation
             assert report.ok
             assert patch.tile_area_sum() == polygon_area(report.derived_region)
-            g = build_incidence(patch, validated=True, region=report.derived_region)
+            g = build_incidence(patch)
             stretches, shared = decompose_stretches(g)
             assert shared == []
             cond = no_shared_side_conditions(g, stretches)
@@ -112,9 +112,9 @@ def test_criterion_3_recursive_structure():
 
     start = time.monotonic()
     patch = _recursive(200)
-    report = validate_patch(patch)
+    report = patch.validation
     assert report.ok and len(patch.tiles) == 601
-    g = build_incidence(patch, validated=True, region=report.derived_region)
+    g = build_incidence(patch)
     assert graph_audit(g).ok
     assert eq1_audit(g).ok
     stretches, _ = decompose_stretches(g)
@@ -255,7 +255,7 @@ def test_criterion_7_two_scale_patch():
 
     # hop distances: multi-source BFS from composite owners
     targets = {tile for tile, _, _ in comp}
-    adj = g.tile_adjacency()
+    adj = g.adjacency
     dist = {t: 0 for t in targets}
     frontier = sorted(targets)
     while frontier:

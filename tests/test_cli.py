@@ -153,3 +153,83 @@ class TestDeterminism:
                               "-o", str(p)], tmp_path)
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _statuses(report: str) -> list[tuple[str, str]]:
+    """(section/name, status) for every check line of an audit report."""
+    out, section = [], ""
+    for line in report.splitlines():
+        if line.startswith("["):
+            section = line
+            continue
+        name, _, value = line.partition(" = ")
+        status = value.rsplit(" ", 1)[-1]
+        if status in ("pass", "fail", "n/a"):
+            out.append((f"{section}{name}", status))
+    return out
+
+
+class TestHugeCoordinates:
+    def test_audit_beyond_4096_bits_matches_small_case(self, tmp_path):
+        results = []
+        for n in (2 ** 10, 2 ** 4200):
+            path = tmp_path / f"pair{n.bit_length()}.til"
+            path.write_text(f"#TILING 1\ntri 0 0 {2 * n} 0 {n} 1\n"
+                            f"tri 0 0 {2 * n} 0 {n} -2\n")
+            code, out, err = run(["audit", str(path)], tmp_path)
+            assert err == ""
+            results.append((code, _statuses(out)))
+        assert results[0][1]
+        assert results[1] == results[0]
+
+
+class TestInternalErrors:
+    def test_exit_3_with_one_line(self, tmp_path, monkeypatch):
+        import tritile.cli
+
+        def boom(args):
+            raise RuntimeError("broken\ninvariant")
+
+        monkeypatch.setitem(tritile.cli._COMMANDS, "audit", boom)
+        code, out, err = run(["audit", "unused.til"], tmp_path)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: broken invariant\n"
+
+
+class TestAnalysedOnce:
+    """Every command analyses each patch once: one validation and one edge
+    soup per patch, however many audits read them."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import sys
+        calls = []
+        for modname, mod in list(sys.modules.items()):
+            if not modname.startswith("tritile") or not hasattr(mod, name):
+                continue
+            fn = getattr(mod, name)
+            if getattr(fn, "__module__", "").startswith("tritile"):
+                def counted(*args, _fn=fn, **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("disk, expected", [(None, 1), ("2,3/2,1", 3)])
+    def test_audit_counts(self, til, tmp_path, monkeypatch, disk, expected):
+        path = til("t.til", "generate", "twoscale", "--m", "2", "--n", "2")
+        validations = self._count(monkeypatch, "validate_patch")
+        soups = self._count(monkeypatch, "build_soup")
+        argv = ["audit", path] + (["--disk", disk] if disk else [])
+        code, out, _ = run(argv, tmp_path)
+        assert code == 0 and "[asymptotic-audit]" in out
+        # with --disk: the ambient patch, and the extracted piece once
+        # without its region (to derive it) and once with it
+        assert (len(validations), len(soups)) == (expected, expected)
+
+    def test_generate_validates_once(self, tmp_path, monkeypatch):
+        validations = self._count(monkeypatch, "validate_patch")
+        code, _, _ = run(["generate", "twoscale", "--m", "2", "--n", "2",
+                          "-o", str(tmp_path / "t.til")], tmp_path)
+        assert code == 0 and len(validations) == 1

@@ -90,7 +90,7 @@ class TestFillHoles:
             if all(len(e.incidences) == 2
                    for e in g.soup.edges if i in e.tiles))
         selection = set(range(g.t)) - {interior}
-        got = fill_holes(patch, selection, g)
+        got = fill_holes(patch, selection)
         assert len(got.tiles) == g.t
         assert validate_patch(got).ok
 
@@ -132,7 +132,7 @@ class TestBoundaryRing:
         sub = TilingPatch((patch.tiles[inner],), None)
         from tritile import derive_region
         sub = sub.with_region(derive_region(sub))
-        got = boundary_ring(patch, sub, g)
+        got = boundary_ring(patch, sub)
         want = sorted(i for i, t in enumerate(patch.tiles)
                       if i != inner and closures_touch(t, patch.tiles[inner]))
         assert got == want
@@ -214,7 +214,7 @@ class TestAsymptoticAudit:
         from tritile import derive_region
         sub = TilingPatch((patch.tiles[inner],), None)
         sub = sub.with_region(derive_region(sub))
-        ring = boundary_ring(patch, sub, g)
+        ring = boundary_ring(patch, sub)
         rec = asymptotic_audit(patch, sub, ring)
         assert rec.get("partial_boundary_bound").status is Status.PASS
         assert rec.get("partial_boundary_bound").value == f"0 {3 * len(ring)}"

@@ -1,0 +1,90 @@
+"""Golden-file regression tests for the command line.
+
+`tests/golden/` holds three small inputs (a 2x2 two-scale grid, a depth-4
+recursive split and a k=6 convex triangulation) together with the exact
+stdout of `audit`, `audit --disk`, `stretches` and `stats` on each, the
+SVG written by `render --stretch-overlay --labels`, and the exit codes.
+Any refactor must keep all of them byte-identical.
+
+Regenerate (only when an output change is intended) with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tritile.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: name -> (`generate` arguments, disk for `audit --disk`)
+CASES = {
+    "twoscale-2": (["twoscale", "--b", "2", "--h", "433/250", "--m", "2", "--n", "2"],
+                   "2,3/2,1"),
+    "recursive-4": (["recursive", "--depth", "4"], "0,0,1"),
+    "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/4"),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def outputs(name: str, til: str, workdir: Path) -> dict[str, tuple[int, bytes]]:
+    """(exit code, bytes) of every golden command on the input file."""
+    disk = CASES[name][1]
+    result = {}
+    for cmd, argv in (("audit", ["audit", til]),
+                      ("audit_disk", ["audit", til, "--disk", disk]),
+                      ("stretches", ["stretches", til]),
+                      ("stats", ["stats", til])):
+        code, text = _run(argv)
+        result[f"{cmd}.txt"] = (code, text.encode("utf-8"))
+    svg = workdir / f"{name}.svg"
+    code, _ = _run(["render", til, "-o", str(svg), "--stretch-overlay", "--labels"])
+    result["svg"] = (code, svg.read_bytes())
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_generate_reproduces_golden_input(name, tmp_path):
+    path = tmp_path / f"{name}.til"
+    code, _ = _run(["generate", *CASES[name][0], "-o", str(path)])
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.til").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden(name, tmp_path):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    got = outputs(name, str(GOLDEN / f"{name}.til"), tmp_path)
+    for suffix, (code, data) in got.items():
+        assert code == codes[f"{name}.{suffix}"], suffix
+        assert data == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (gen_args, _) in sorted(CASES.items()):
+            til = GOLDEN / f"{name}.til"
+            code, _ = _run(["generate", *gen_args, "-o", str(til)])
+            assert code == 0, name
+            for suffix, (code, data) in outputs(name, str(til), Path(tmp)).items():
+                (GOLDEN / f"{name}.{suffix}").write_bytes(data)
+                codes[f"{name}.{suffix}"] = code
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

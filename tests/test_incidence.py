@@ -161,7 +161,7 @@ class TestInvariance:
 
     def test_tile_adjacency_symmetric(self):
         g = build_incidence(fixtures.notched_split())
-        adj = g.tile_adjacency()
+        adj = g.adjacency
         for u, ns in adj.items():
             for w in ns:
                 assert u in adj[w]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import Interval, LengthExpr, Ordering, compare_length_sums
+from tritile import Interval, LengthExpr, Ordering
 from tritile.radicals import fraction_decimal, rational_sqrt, sqrt_enclosure
 
 from conftest import conjugate_product, expr_decimal
@@ -42,16 +42,16 @@ class TestCanonicalForm:
 class TestCompare:
     def test_equal_sums_of_dependent_radicals(self):
         # sqrt(2) + sqrt(8) = 3*sqrt(2) = sqrt(18)
-        assert compare_length_sums(sq(2) + sq(8), sq(18)) is Ordering.EQ
+        assert (sq(2) + sq(8)).compare(sq(18)) is Ordering.EQ
 
     def test_sqrt2_below_three_halves(self):
-        assert compare_length_sums(sq(2), LengthExpr.rational(F(3, 2))) is Ordering.LT
+        assert sq(2).compare(LengthExpr.rational(F(3, 2))) is Ordering.LT
 
     def test_close_sums_resolved_exactly(self):
         # sqrt(10)+sqrt(18) = 7.4049... < sqrt(16)+sqrt(12) = 7.4641...
         lhs, rhs = sq(10) + sq(18), sq(16) + sq(12)
         assert expr_decimal(lhs) < expr_decimal(rhs)
-        assert compare_length_sums(lhs, rhs) is Ordering.LT
+        assert lhs.compare(rhs) is Ordering.LT
 
     def test_multiplicatively_dependent_but_linearly_independent(self):
         # 2*sqrt(2) + sqrt(8) is 4*sqrt(2), not zero, even though flipping
@@ -63,13 +63,13 @@ class TestCompare:
     def test_reflexive_equality(self, rng):
         for _ in range(30):
             e = _random_expr(rng)
-            assert compare_length_sums(e, e) is Ordering.EQ
+            assert e.compare(e) is Ordering.EQ
 
     def test_antisymmetry_and_decimal_agreement(self, rng):
         for _ in range(40):
             e1, e2 = _random_expr(rng), _random_expr(rng)
-            got = compare_length_sums(e1, e2)
-            assert compare_length_sums(e2, e1) is Ordering(-got.value)
+            got = e1.compare(e2)
+            assert e2.compare(e1) is Ordering(-got.value)
             d1, d2 = expr_decimal(e1), expr_decimal(e2)
             if got is Ordering.EQ:
                 assert abs(d1 - d2) < Fraction(1, 10 ** 60)
@@ -80,7 +80,7 @@ class TestCompare:
         exprs = [_random_expr(rng) for _ in range(12)]
         exprs.sort(key=expr_decimal)
         for a, b in zip(exprs, exprs[1:]):
-            assert compare_length_sums(a, b) is not Ordering.GT
+            assert a.compare(b) is not Ordering.GT
 
     def test_conjugate_norm_oracle_on_zero(self, rng):
         for _ in range(25):
@@ -95,6 +95,26 @@ class TestCompare:
             if e.is_zero():
                 continue
             assert (expr_decimal(e) > 0) == (e.sign() > 0)
+
+
+class TestHugeMagnitudes:
+    """sqrt(n^2 + 1) - n is about 1/(2n): with n = 2^4200 its sign needs
+    more than 4096 bits of precision."""
+
+    N = 2 ** 4200
+
+    def test_sign_needs_more_than_4096_bits(self):
+        n = self.N
+        assert (LengthExpr.sqrt(n * n + 1) - LengthExpr.rational(n)).sign() == 1
+        assert (LengthExpr.rational(n) - LengthExpr.sqrt(n * n + 1)).sign() == -1
+
+    def test_compare_tiny_gap(self):
+        n = self.N
+        assert LengthExpr.sqrt(n * n + 1).compare(LengthExpr.rational(n)) is Ordering.GT
+
+    def test_refine_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            sq(2).refine(F(0))
 
 
 class TestRichComparisons:

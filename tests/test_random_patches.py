@@ -41,9 +41,9 @@ class TestRandomValidPatches:
     def test_audits_hold_everywhere(self):
         for seed in range(25):
             patch = random_refined_patch(seed)
-            report = validate_patch(patch)
+            report = patch.validation
             assert report.ok, (seed, [v.describe() for v in report.violations])
-            g = build_incidence(patch, validated=True, region=report.derived_region)
+            g = build_incidence(patch)
             assert graph_audit(g).ok, seed
             rec = eq1_audit(g)
             assert rec.get("vertex_identity").status.value == "pass", seed

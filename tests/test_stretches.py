@@ -31,6 +31,19 @@ def brute_force_shared(patch: TilingPatch):
     return sorted(set(pairs))
 
 
+def brute_force_shared_segments(patch: TilingPatch):
+    """Group every side by its endpoint pair: (t1, t2, segment) triples,
+    segment endpoints in Point.key order, sorted by tile pair."""
+    by_segment: dict[tuple, list[int]] = {}
+    for i, t in enumerate(patch.tiles):
+        for p, q in t.sides():
+            seg = (p, q) if p.key() <= q.key() else (q, p)
+            by_segment.setdefault(seg, []).append(i)
+    triples = [(a, b, seg) for seg, tiles in by_segment.items()
+               for k, a in enumerate(tiles) for b in tiles[k + 1:]]
+    return sorted(triples, key=lambda s: (s[0], s[1]))
+
+
 def recursive(depth, t=F(2), base=(P(0, 0), P(1, 0), P(0, 1))):
     return gen_recursive_split(RecursiveSplitSpec(base, t, depth))
 
@@ -133,11 +146,18 @@ class TestSharedSides:
             assert got == brute_force_shared(patch)
 
     def test_decomposition_agrees_with_direct_search(self):
-        for patch in (fixtures.square_diag(), fixtures.rect_l_shape()):
+        from tritile import convex_polygon_on_circle
+        corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
+                  fixtures.notched_split(), recursive(3)]
+        for seed in range(10):
+            corpus.append(gen_convex_triangulation(
+                convex_polygon_on_circle(7, seed), "random", seed))
+        for patch in corpus:
             g = build_incidence(patch)
             _, from_decomp = decompose_stretches(g)
-            assert ({(a, b) for a, b, _ in from_decomp}
-                    == {(a, b) for a, b, _ in shared_side_pairs(g)})
+            # pair for pair and in the same order, segments included
+            assert from_decomp == brute_force_shared_segments(patch)
+            assert shared_side_pairs(g) == from_decomp
 
 
 class TestEq1:
@@ -381,3 +401,21 @@ class TestNeighborHops:
         g = build_incidence(fixtures.square_diag())
         with pytest.raises(IndexError):
             neighbor_hops_to_composite(g, 99)
+
+    def test_every_tile_matches_single_source_search(self):
+        for patch in (gen_two_scale_periodic(TwoScaleSpec(F(1), F(1), 3, 3)),
+                      fixtures.notched_split(), recursive(3)):
+            g = build_incidence(patch)
+            targets = {t for t, _, _ in composite_sides(g)}
+            adj = g.adjacency
+            for tile in range(g.t):
+                # oracle: breadth-first search from this tile alone
+                want, dist, frontier, seen = None, 0, {tile}, {tile}
+                while frontier:
+                    if frontier & targets:
+                        want = dist
+                        break
+                    frontier = {w for u in frontier for w in adj[u]} - seen
+                    seen |= frontier
+                    dist += 1
+                assert neighbor_hops_to_composite(g, tile) == want, tile
