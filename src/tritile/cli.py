@@ -33,6 +33,16 @@ def _rationals(text: str, n: int) -> list[Fraction]:
     return [parse_rational(p.strip()) for p in parts]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load(path: str) -> TilingPatch:
     with open(path, "rb") as fh:
         return parse_tiling(fh.read())
@@ -108,13 +118,12 @@ def _cmd_audit(args) -> int:
         info.info("coverage_certificate", extraction.coverage_certificate)
         records.append(info)
         records.append(asymptotic_audit(
-            patch, extraction.patch, extraction.ring,
+            extraction.patch, extraction.ring,
             unit_perimeter=args.unit_perimeter,
             coverage_certificate=extraction.coverage_certificate,
             r_sq=r_sq))
     else:
-        records.append(asymptotic_audit(
-            None, patch, [], unit_perimeter=args.unit_perimeter))
+        records.append(asymptotic_audit(patch, [], unit_perimeter=args.unit_perimeter))
 
     failed = 0
     for rec in records:
@@ -218,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stat = sub.add_parser("stats", help="print counts and side-length range")
     stat.add_argument("file")
-    stat.add_argument("--precision-bits", type=int, default=64)
+    stat.add_argument("--precision-bits", type=_positive_int, default=64)
 
     ren = sub.add_parser("render", help="write an SVG figure")
     ren.add_argument("file")
     ren.add_argument("-o", "--output", required=True)
-    ren.add_argument("--width", type=int, default=800)
+    ren.add_argument("--width", type=_positive_int, default=800)
     ren.add_argument("--stretch-overlay", action="store_true")
     ren.add_argument("--labels", action="store_true")
     return parser

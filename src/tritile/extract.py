@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point, Triangle, segment_sq_dist, sq_dist
-from .incidence import EdgeClass, IncidenceGraph, build_incidence
+from .incidence import IncidenceGraph, build_incidence
 from .model import TilingPatch
 from .radicals import LengthExpr, Ordering
 from .report import AuditRecord
 from .stretches import StretchClass
+from .validate import derive_region, point_in_polygon
 
 
 def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
@@ -34,21 +35,14 @@ def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set
             if triangle_sq_dist(t, center) < r_sq}
 
 
-def _vertex_incident_tiles(graph: IncidenceGraph) -> dict[Point, set[int]]:
-    """Every tile whose closure contains the vertex (corner or mid-side)."""
-    incident: dict[Point, set[int]] = {}
-    for p, tiles in graph.soup.corner_tiles.items():
-        incident.setdefault(p, set()).update(tiles)
-    for p, sides in graph.soup.vertex_subdivides.items():
-        incident.setdefault(p, set()).update(t for t, _ in sides)
-    return incident
-
-
 def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     """Add every ambient tile lying in a bounded complementary component
     of the selected union; the result is simply connected.
 
     The selected union must be connected (single-point contact counts).
+    The piece comes back without a region, validated once (RegionError
+    if the union is not simple); ``build_incidence(piece)`` reuses that
+    report, and its ``region`` is the piece's boundary.
     """
     if not selected:
         raise ValueError("empty selection")
@@ -56,9 +50,8 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
         raise ValueError("selection is not a subset of the ambient patch")
     graph = build_incidence(ambient)
 
-    incident = _vertex_incident_tiles(graph)
     touch: dict[int, set[int]] = {i: set() for i in range(graph.t)}
-    for tiles in incident.values():
+    for tiles in graph.incident_tiles.values():
         for a in tiles:
             touch[a].update(tiles)
 
@@ -77,9 +70,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     # unselected tiles; a component is a hole unless it reaches the
     # ambient boundary through an atomic edge
     adj = graph.adjacency
-    on_ambient_boundary = {
-        e.incidences[0][0] for e in graph.soup.edges
-        if e.boundary_class is not EdgeClass.INTERNAL}
+    on_ambient_boundary = {e.incidences[0][0] for e in graph.boundary_edges}
     unseen = set(range(graph.t)) - selected
     result = set(selected)
     while unseen:
@@ -96,10 +87,9 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
         if not comp & on_ambient_boundary:
             result |= comp
 
-    tiles = tuple(ambient.tiles[i] for i in sorted(result))
-    from .validate import derive_region
-    patch = TilingPatch(tiles, None, ambient.metadata)
-    return patch.with_region(derive_region(patch))
+    piece = TilingPatch(tuple(ambient.tiles[i] for i in sorted(result)), None, ambient.metadata)
+    derive_region(piece)  # validates the piece once; RegionError if not simple
+    return piece
 
 
 def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
@@ -112,17 +102,10 @@ def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
     except KeyError:
         raise ValueError("patch is not a tile subset of the ambient patch")
 
-    boundary_pts: set[Point] = set()
-    for e in graph.soup.edges:
-        tiles = e.tiles
-        if len(tiles) == 2:
-            if (tiles[0] in inside) != (tiles[1] in inside):
-                boundary_pts.update((e.a, e.b))
-        elif tiles[0] in inside:
-            boundary_pts.update((e.a, e.b))
-
-    incident = _vertex_incident_tiles(graph)
-    ring = {t for p in boundary_pts for t in incident.get(p, ())} - inside
+    # the patch's boundary: the ambient edges with exactly one tile inside it
+    boundary_pts = {p for e in graph.soup.edges if sum(t in inside for t in e.tiles) == 1
+                    for p in (e.a, e.b)}
+    ring = {t for p in boundary_pts for t in graph.incident_tiles.get(p, ())} - inside
     return sorted(ring)
 
 
@@ -147,7 +130,6 @@ def _disk_plus_one_covered(graph: IncidenceGraph, center: Point, r_sq: Fraction)
     Exact test: sq >= r_sq + 1 + 2*sqrt(r_sq) for the squared distance sq
     of every ambient boundary edge, plus the center lying in the region.
     """
-    from .validate import point_in_polygon
     if point_in_polygon(center, graph.region) < 0:
         return False
     for e in graph.boundary_edges:
@@ -172,8 +154,7 @@ def extract_disk_patch(ambient: TilingPatch, center: Point, r_sq: Fraction) -> E
                             sub.e_full, sub.e_part)
 
 
-def asymptotic_audit(ambient: TilingPatch | None, patch: TilingPatch,
-                     ring: list[int], *, unit_perimeter: bool = False,
+def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: bool = False,
                      coverage_certificate: bool | None = None,
                      r_sq: Fraction | None = None) -> AuditRecord:
     """Boundary-effect accounting on a finite piece.
@@ -184,7 +165,7 @@ def asymptotic_audit(ambient: TilingPatch | None, patch: TilingPatch,
     boundary length, and e_part <= 3t'.  The last one rests on every
     boundary vertex belonging to a ring triangle, which fails when the
     piece reaches the edge of the known tiling, so a violation downgrades
-    to n/a unless the ambient patch certifiably covers the grown disk.
+    to n/a unless ``coverage_certificate`` says the grown disk is covered.
     """
     rec = AuditRecord("asymptotic-audit")
     g = build_incidence(patch)

@@ -9,10 +9,16 @@ on the same line; in a valid tiling every vertex interior to a side is
 such an endpoint (the tiles opposite the side must terminate there), and
 for invalid input the soup still supports the validator's certificate.
 
-The :class:`IncidenceGraph` wraps the soup for a *validated* patch and
-exposes the counting quantities (vertex/edge/face counts, boundary edge
-classes, subdividing vertices) that the combinatorial audits consume.
-It is built once per patch and caches what later layers derive from it.
+Each boundary fact has one owner.  :func:`build_soup` classes each atomic
+edge as it splits the sides: internal when shared, else full or partial
+boundary as its one side is unsplit or split.  :mod:`tritile.validate`
+certifies that the boundary edges form one simple counterclockwise cycle
+and derives the region from it.  The :class:`IncidenceGraph` wraps the
+validator's soup for a *valid* patch, lists the boundary edges once, and
+exposes the counts (vertex/edge/face counts, e_full, e_part, subdividing
+vertices) and the vertex-to-tiles map that the audits and the disk
+extraction consume.  It is built once per patch and caches what later
+layers derive from it.
 """
 
 from __future__ import annotations
@@ -89,7 +95,8 @@ class AtomicEdge:
     lo: Fraction
     hi: Fraction
     incidences: list[tuple[int, int, int]]   # (tile, side index, sign)
-    boundary_class: EdgeClass = EdgeClass.INTERNAL
+    # full or partial boundary by its sole side's splits; internal when shared
+    boundary_class: EdgeClass
 
     @property
     def tiles(self) -> list[int]:
@@ -151,32 +158,19 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
             for v in ref.splits:
                 vertex_subdivides.setdefault(v, []).append((ref.tile, ref.index))
             seq = [ref.lo, *cuts, ref.hi]
+            klass = EdgeClass.PARTIAL_BOUNDARY if cuts else EdgeClass.FULL_BOUNDARY
             for u, w in zip(seq, seq[1:]):
                 edge = edge_map.get((u, w))
                 if edge is None:
-                    edge = AtomicEdge(pts[u], pts[w], key, u, w, [])
+                    edge = AtomicEdge(pts[u], pts[w], key, u, w, [], klass)
                     edge_map[(u, w)] = edge
+                else:
+                    edge.boundary_class = EdgeClass.INTERNAL
                 edge.incidences.append((ref.tile, ref.index, ref.sign))
         grp.edges = [edge_map[k] for k in sorted(edge_map)]
         all_edges.extend(grp.edges)
 
     return EdgeSoup(tiles, corner_tiles, lines, all_edges, vertex_subdivides)
-
-
-def classify_boundary(soup: EdgeSoup) -> None:
-    """Set boundary classes on 1-incidence edges (full vs partial side)."""
-    side_split_count: dict[tuple[int, int], int] = {}
-    for grp in soup.lines.values():
-        for ref in grp.sides:
-            side_split_count[(ref.tile, ref.index)] = len(ref.splits)
-    for edge in soup.edges:
-        if len(edge.incidences) != 1:
-            edge.boundary_class = EdgeClass.INTERNAL
-            continue
-        tile, idx, _ = edge.incidences[0]
-        edge.boundary_class = (
-            EdgeClass.FULL_BOUNDARY if side_split_count[(tile, idx)] == 0
-            else EdgeClass.PARTIAL_BOUNDARY)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,6 +188,7 @@ class IncidenceGraph:
     soup: EdgeSoup
     vertices: dict[Point, VertexFlags]
     region: tuple[Point, ...]            # derived boundary polygon (CCW)
+    boundary_edges: list[AtomicEdge]     # full and partial, in soup order
     boundary_vertex_count: int
 
     @property
@@ -224,7 +219,7 @@ class IncidenceGraph:
     def v_int(self) -> int:
         return self.v - self.v_bd
 
-    @property
+    @cached_property
     def v_star(self) -> int:
         return sum(1 for fl in self.vertices.values() if fl.subdividing)
 
@@ -233,20 +228,14 @@ class IncidenceGraph:
         return sum(1 for fl in self.vertices.values()
                    if fl.subdividing and not fl.boundary)
 
-    @property
-    def boundary_edges(self) -> list[AtomicEdge]:
-        return [e for e in self.soup.edges
-                if e.boundary_class is not EdgeClass.INTERNAL]
-
-    @property
+    @cached_property
     def e_full(self) -> int:
-        return sum(1 for e in self.soup.edges
+        return sum(1 for e in self.boundary_edges
                    if e.boundary_class is EdgeClass.FULL_BOUNDARY)
 
     @property
     def e_part(self) -> int:
-        return sum(1 for e in self.soup.edges
-                   if e.boundary_class is EdgeClass.PARTIAL_BOUNDARY)
+        return len(self.boundary_edges) - self.e_full
 
     @classmethod
     def from_report(cls, patch: TilingPatch, report: ValidationReport) -> IncidenceGraph:
@@ -255,10 +244,8 @@ class IncidenceGraph:
             raise ValueError(
                 "invalid patch: " + "; ".join(v.describe() for v in report.violations))
         soup = report.soup
-        classify_boundary(soup)
-
-        boundary_pts = {p for e in soup.edges if e.boundary_class is not EdgeClass.INTERNAL
-                        for p in (e.a, e.b)}
+        boundary = [e for e in soup.edges if e.boundary_class is not EdgeClass.INTERNAL]
+        boundary_pts = {p for e in boundary for p in (e.a, e.b)}
 
         vertices: dict[Point, VertexFlags] = {}
         for p in sorted(soup.corner_tiles, key=Point.key):
@@ -268,7 +255,7 @@ class IncidenceGraph:
                 subdividing=bool(subs),
                 sides_subdivided=len(subs),
             )
-        return cls(patch, soup, vertices, report.derived_region, len(boundary_pts))
+        return cls(patch, soup, vertices, report.derived_region, boundary, len(boundary_pts))
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
@@ -280,6 +267,14 @@ class IncidenceGraph:
                 adj[t1].add(t2)
                 adj[t2].add(t1)
         return adj
+
+    @cached_property
+    def incident_tiles(self) -> dict[Point, set[int]]:
+        """Every tile whose closure contains the vertex (corner or mid-side)."""
+        incident = {p: set(tiles) for p, tiles in self.soup.corner_tiles.items()}
+        for p, sides in self.soup.vertex_subdivides.items():
+            incident.setdefault(p, set()).update(t for t, _ in sides)
+        return incident
 
     # Facts that tritile.stretches derives from the graph, computed once by
     # its public functions; callers share them and must not mutate them.

@@ -112,6 +112,27 @@ def _bbox_disjoint(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
             or max(b1.y, b2.y) < min(a1.y, a2.y))
 
 
+def _simplicity_faults(segments: list[tuple[Point, Point]]
+                       ) -> tuple[list[tuple[int, int]], list[tuple[int, Point]]]:
+    """Why a closed chain of segments is not a simple polygon: the index
+    pairs (i, j), i < j, of segments that cross properly, and the pairs
+    (i, p) of a segment and an endpoint inside it, p in Point.key order."""
+    crossings: list[tuple[int, int]] = []
+    for i, (a1, a2) in enumerate(segments):
+        for j in range(i + 1, len(segments)):
+            b1, b2 = segments[j]
+            if not _bbox_disjoint(a1, a2, b1, b2) and _segments_cross_properly(a1, a2, b1, b2):
+                crossings.append((i, j))
+    vertices = sorted({p for seg in segments for p in seg}, key=Point.key)
+    contacts: list[tuple[int, Point]] = []
+    for i, (a, b) in enumerate(segments):
+        for p in vertices:
+            if (p not in (a, b) and not _bbox_disjoint(a, b, p, p)
+                    and point_on_segment_interior(a, b, p)):
+                contacts.append((i, p))
+    return crossings, contacts
+
+
 def _directed_boundary(edge: AtomicEdge) -> tuple[Point, Point]:
     """Orient a boundary edge so its unique tile lies on the left."""
     a, b, key = edge.a, edge.b, edge.line
@@ -172,18 +193,11 @@ def _check_region_polygon(region: tuple[Point, ...]) -> list[Violation]:
     if polygon_area(region) <= 0:
         bad.append(Violation(REGION_INVALID, (), "not counterclockwise"))
     sides = [(region[i], region[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a1, a2 = sides[i]
-            b1, b2 = sides[j]
-            if _bbox_disjoint(a1, a2, b1, b2):
-                continue
-            if _segments_cross_properly(a1, a2, b1, b2):
-                bad.append(Violation(REGION_INVALID, (), f"sides {i} and {j} cross"))
-    for p in region:
-        for i, (a, b) in enumerate(sides):
-            if p not in (a, b) and point_on_segment_interior(a, b, p):
-                bad.append(Violation(REGION_INVALID, (), f"vertex {p} inside side {i}"))
+    crossings, contacts = _simplicity_faults(sides)
+    for i, j in crossings:
+        bad.append(Violation(REGION_INVALID, (), f"sides {i} and {j} cross"))
+    for i, p in sorted(contacts, key=lambda c: (region.index(c[1]), c[0])):
+        bad.append(Violation(REGION_INVALID, (), f"vertex {p} inside side {i}"))
     return bad
 
 
@@ -298,38 +312,31 @@ def _geometric_boundary_checks(boundary: list[AtomicEdge]) -> list[Violation]:
     """Reject boundary cycles that are simple combinatorially but not
     geometrically: crossing edges mean overlapping tiles, a vertex inside
     an edge means a pinched region."""
+    crossings, contacts = _simplicity_faults([(e.a, e.b) for e in boundary])
     bad: list[Violation] = []
-    for i in range(len(boundary)):
-        ei = boundary[i]
-        for j in range(i + 1, len(boundary)):
-            ej = boundary[j]
-            if ei.line == ej.line or _bbox_disjoint(ei.a, ei.b, ej.a, ej.b):
-                continue
-            if _segments_cross_properly(ei.a, ei.b, ej.a, ej.b):
-                bad.append(Violation(
-                    OVERLAP, tuple(sorted(set(ei.tiles + ej.tiles))),
-                    f"boundary edges cross near {ei.a}"))
-    vertices = sorted({p for e in boundary for p in (e.a, e.b)}, key=Point.key)
-    for e in boundary:
-        for p in vertices:
-            if p in (e.a, e.b):
-                continue
-            if _bbox_disjoint(e.a, e.b, p, p):
-                continue
-            if point_on_segment_interior(e.a, e.b, p):
-                bad.append(Violation(
-                    NOT_SIMPLE, tuple(e.tiles),
-                    f"boundary touches itself at {p}"))
+    for i, j in crossings:
+        ei, ej = boundary[i], boundary[j]
+        bad.append(Violation(
+            OVERLAP, tuple(sorted(set(ei.tiles + ej.tiles))),
+            f"boundary edges cross near {ei.a}"))
+    for i, p in contacts:
+        bad.append(Violation(
+            NOT_SIMPLE, tuple(boundary[i].tiles),
+            f"boundary touches itself at {p}"))
     return bad
 
 
 def derive_region(patch: TilingPatch) -> tuple[Point, ...]:
     """Counterclockwise boundary polygon of the tile union.
 
+    A region-less patch is read through its cached ``patch.validation``,
+    so a later ``build_incidence(patch)`` reuses that report; a patch
+    with a region is validated again as a region-less copy.
+
     Raises :class:`RegionError` when the union is not a simply connected
     polygon (hole, disconnection, pinch, or overlap).
     """
-    report = validate_patch(patch.with_region(None))
+    report = (patch if patch.region is None else patch.with_region(None)).validation
     if report.derived_region is None or not report.ok:
         kinds = {v.kind for v in report.violations}
         for kind in (HOLE, DISCONNECTED, NOT_SIMPLE, OVERLAP, EMPTY):

@@ -169,7 +169,7 @@ def test_criterion_5_accounting_identities():
         g = build_incidence(patch)
         rec = graph_audit(g)
         assert rec.ok and not rec.not_applicable_entries, patch.metadata
-        asym = asymptotic_audit(None, patch, [])
+        asym = asymptotic_audit(patch, [])
         has_shared = bool(shared_side_pairs(g))
         for name in ("side_count_identity", "subdividing_vertex_bound"):
             want = Status.NA if has_shared else Status.PASS
@@ -181,7 +181,7 @@ def test_criterion_5_accounting_identities():
     assert g.e_part == 1
     stretches, _ = decompose_stretches(g)
     assert any(s.klass.value == "improper" for s in stretches)
-    asym = asymptotic_audit(None, fixtures.notched_split(), [])
+    asym = asymptotic_audit(fixtures.notched_split(), [])
     assert asym.get("side_count_identity").status is Status.PASS
     assert asym.get("subdividing_vertex_bound").status is Status.PASS
     _report(5, True,

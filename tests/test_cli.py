@@ -128,6 +128,19 @@ class TestOtherCommands:
         assert code == 0
         assert "tiles = 4" in out and "min_side" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--precision-bits", "-1"],
+        ["stats", "--precision-bits", "0"],
+        ["render", "-o", "a.svg", "--width", "0"],
+        ["render", "-o", "a.svg", "--width", "-5"],
+    ])
+    def test_out_of_range_number_exit_2(self, til, tmp_path, argv):
+        path = til("a.til", "generate", "recursive", "--depth", "1")
+        with pytest.raises(SystemExit) as err:
+            run([argv[0], path, *argv[1:]], tmp_path)
+        assert err.value.code == 2
+        assert not (tmp_path / "a.svg").exists()
+
     def test_render(self, til, tmp_path):
         path = til("a.til", "generate", "recursive", "--depth", "2")
         out_svg = tmp_path / "a.svg"
@@ -216,7 +229,7 @@ class TestAnalysedOnce:
                 monkeypatch.setattr(mod, name, counted)
         return calls
 
-    @pytest.mark.parametrize("disk, expected", [(None, 1), ("2,3/2,1", 3)])
+    @pytest.mark.parametrize("disk, expected", [(None, 1), ("2,3/2,1", 2)])
     def test_audit_counts(self, til, tmp_path, monkeypatch, disk, expected):
         path = til("t.til", "generate", "twoscale", "--m", "2", "--n", "2")
         validations = self._count(monkeypatch, "validate_patch")
@@ -224,8 +237,7 @@ class TestAnalysedOnce:
         argv = ["audit", path] + (["--disk", disk] if disk else [])
         code, out, _ = run(argv, tmp_path)
         assert code == 0 and "[asymptotic-audit]" in out
-        # with --disk: the ambient patch, and the extracted piece once
-        # without its region (to derive it) and once with it
+        # with --disk: the ambient patch and the extracted piece, once each
         assert (len(validations), len(soups)) == (expected, expected)
 
     def test_generate_validates_once(self, tmp_path, monkeypatch):

@@ -26,10 +26,12 @@ def closures_touch(t1: Triangle, t2: Triangle) -> bool:
         return True
     if any(t1.contains(p) for p in t2.vertices):
         return True
-    from tritile.validate import _segments_cross_properly
+    def turn(o, a, b):
+        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
     for a, b in t1.sides():
         for c, d in t2.sides():
-            if _segments_cross_properly(a, b, c, d):
+            if turn(a, b, c) * turn(a, b, d) < 0 and turn(c, d, a) * turn(c, d, b) < 0:
                 return True
     return False
 
@@ -184,7 +186,7 @@ class TestAsymptoticAudit:
     def test_recursive_full_patch(self):
         patch = gen_recursive_split(RecursiveSplitSpec(
             (P(0, 0), P(1, 0), P(0, 1)), F(2), 4))
-        rec = asymptotic_audit(None, patch, [])
+        rec = asymptotic_audit(patch, [])
         assert rec.get("side_count_identity").status is Status.PASS
         assert rec.get("side_count_identity").value == "36 36"
         assert rec.get("subdividing_vertex_bound").status is Status.PASS
@@ -192,7 +194,7 @@ class TestAsymptoticAudit:
         assert rec.get("partial_boundary_bound").status is Status.PASS
 
     def test_notched_fixture_counts(self):
-        rec = asymptotic_audit(None, fixtures.notched_split(), [])
+        rec = asymptotic_audit(fixtures.notched_split(), [])
         assert rec.get("side_count_identity").value == "11 11"
         assert rec.get("subdividing_vertex_bound").value == "8 8"
         assert rec.get("side_count_identity").status is Status.PASS
@@ -200,7 +202,7 @@ class TestAsymptoticAudit:
         assert rec.get("partial_boundary_bound").status is Status.NA
 
     def test_shared_sides_na(self):
-        rec = asymptotic_audit(None, fixtures.square_diag(), [])
+        rec = asymptotic_audit(fixtures.square_diag(), [])
         assert rec.get("side_count_identity").status is Status.NA
         assert rec.get("subdividing_vertex_bound").status is Status.NA
 
@@ -215,19 +217,19 @@ class TestAsymptoticAudit:
         sub = TilingPatch((patch.tiles[inner],), None)
         sub = sub.with_region(derive_region(sub))
         ring = boundary_ring(patch, sub)
-        rec = asymptotic_audit(patch, sub, ring)
+        rec = asymptotic_audit(sub, ring)
         assert rec.get("partial_boundary_bound").status is Status.PASS
         assert rec.get("partial_boundary_bound").value == f"0 {3 * len(ring)}"
 
     def test_unit_perimeter_checks(self):
         tile = Triangle(P(0, 0), P(F(1, 3), 0), P(0, F(1, 4)))
         patch = TilingPatch((tile,), tile.vertices)
-        rec = asymptotic_audit(None, patch, [], unit_perimeter=True)
+        rec = asymptotic_audit(patch, [], unit_perimeter=True)
         assert rec.get("unit_perimeter").status is Status.PASS
         assert rec.get("side_exceeds_4_min_area").status is Status.PASS
         assert rec.get("area_at_most_equilateral").status is Status.PASS
 
     def test_certificate_upgrades_failure(self):
-        rec = asymptotic_audit(None, fixtures.notched_split(), [],
+        rec = asymptotic_audit(fixtures.notched_split(), [],
                                coverage_certificate=True)
         assert rec.get("partial_boundary_bound").status is Status.FAIL

@@ -4,7 +4,9 @@
 recursive split and a k=6 convex triangulation) together with the exact
 stdout of `audit`, `audit --disk`, `stretches` and `stats` on each, the
 SVG written by `render --stretch-overlay --labels`, and the exit codes.
-Any refactor must keep all of them byte-identical.
+It also holds hand-made invalid inputs (`invalid-*.til`) with the exact
+stdout of `validate` on each: the kind, tiles, text and order of every
+violation.  Any refactor must keep all of them byte-identical.
 
 Regenerate (only when an output change is intended) with:
 
@@ -30,6 +32,10 @@ CASES = {
     "recursive-4": (["recursive", "--depth", "4"], "0,0,1"),
     "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/4"),
 }
+
+#: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each
+INVALID = ("annulus", "bowtie", "clockwise-region", "crossing", "crossing-region",
+           "disconnected", "missing-tile", "spike-region", "touching")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -72,6 +78,13 @@ def test_outputs_match_golden(name, tmp_path):
         assert data == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
 
 
+@pytest.mark.parametrize("name", INVALID)
+def test_validate_invalid_matches_golden(name):
+    code, text = _run(["validate", str(GOLDEN / f"invalid-{name}.til")])
+    assert code == 1
+    assert text.encode("utf-8") == (GOLDEN / f"invalid-{name}.validate.txt").read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -84,6 +97,10 @@ def regenerate() -> None:
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)
                 codes[f"{name}.{suffix}"] = code
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    for name in INVALID:
+        code, text = _run(["validate", str(GOLDEN / f"invalid-{name}.til")])
+        assert code == 1, name
+        (GOLDEN / f"invalid-{name}.validate.txt").write_bytes(text.encode("utf-8"))
 
 
 if __name__ == "__main__":
