@@ -27,12 +27,24 @@ def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
     return min(segment_sq_dist(a, b, p) for a, b in t.sides())
 
 
+def _box_sq_dist(t: Triangle, p: Point) -> Fraction:
+    """Exact squared distance from p to the bounding box of the triangle,
+    a lower bound on the distance to the triangle, which lies inside it."""
+    xs = (t.a.x, t.b.x, t.c.x)
+    ys = (t.a.y, t.b.y, t.c.y)
+    dx = max(min(xs) - p.x, p.x - max(xs), 0)
+    dy = max(min(ys) - p.y, p.y - max(ys), 0)
+    return Fraction(dx * dx + dy * dy)
+
+
 def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set[int]:
-    """Tiles whose closed set meets the open disk of squared radius r_sq."""
+    """Tiles whose closed set meets the open disk of squared radius r_sq.
+    A tile whose bounding box misses the disk is skipped without the exact
+    triangle distance."""
     if r_sq <= 0:
         raise ValueError("r_sq must be positive")
     return {i for i, t in enumerate(ambient.tiles)
-            if triangle_sq_dist(t, center) < r_sq}
+            if _box_sq_dist(t, center) < r_sq and triangle_sq_dist(t, center) < r_sq}
 
 
 def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:

@@ -8,10 +8,18 @@ the tile areas must sum to the area that cycle encloses.  For a closed
 1-chain those conditions force every interior point to be covered exactly
 once, so they detect overlaps, gaps, holes and pinched or disconnected
 unions without any floating point.
+
+Geometric simplicity (of a stated region and of the derived boundary) is
+decided by one x-ordered sweep, `_simplicity_faults`: a sort, one box
+comparison per pair of segments, or of segment and vertex, whose x-ranges
+overlap, and one exact test per pair whose boxes overlap, instead of a
+test for every pair.  It lists every crossing, at its exact point, and
+every contact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .geometry import Point, cross, point_on_segment_interior
@@ -96,38 +104,61 @@ def point_in_polygon(p: Point, poly: tuple[Point, ...]) -> int:
     return 1 if wn != 0 else -1
 
 
-def _segments_cross_properly(p: Point, q: Point, r: Point, s: Point) -> bool:
+def _proper_crossing(p: Point, q: Point, r: Point, s: Point) -> Point | None:
+    """The point where segments pq and rs cross properly (each has its
+    endpoints strictly on opposite sides of the other's line), else None.
+    The point is exact: p + (q - p) * o3 / (o3 - o4)."""
     o1 = cross(p, q, r)
     o2 = cross(p, q, s)
+    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
+        return None
     o3 = cross(r, s, p)
     o4 = cross(r, s, q)
-    return ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
-            and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0)
-
-
-def _bbox_disjoint(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    return (max(a1.x, a2.x) < min(b1.x, b2.x)
-            or max(b1.x, b2.x) < min(a1.x, a2.x)
-            or max(a1.y, a2.y) < min(b1.y, b2.y)
-            or max(b1.y, b2.y) < min(a1.y, a2.y))
+    if o3 == 0 or o4 == 0 or (o3 > 0) == (o4 > 0):
+        return None
+    return p + (q - p).scale(o3 / (o3 - o4))
 
 
 def _simplicity_faults(segments: list[tuple[Point, Point]]
-                       ) -> tuple[list[tuple[int, int]], list[tuple[int, Point]]]:
-    """Why a closed chain of segments is not a simple polygon: the index
-    pairs (i, j), i < j, of segments that cross properly, and the pairs
-    (i, p) of a segment and an endpoint inside it, p in Point.key order."""
-    crossings: list[tuple[int, int]] = []
-    for i, (a1, a2) in enumerate(segments):
-        for j in range(i + 1, len(segments)):
-            b1, b2 = segments[j]
-            if not _bbox_disjoint(a1, a2, b1, b2) and _segments_cross_properly(a1, a2, b1, b2):
-                crossings.append((i, j))
+                       ) -> tuple[list[tuple[int, int, Point]], list[tuple[int, Point]]]:
+    """Why a closed chain of segments is not a simple polygon: the triples
+    (i, j, x), i < j, of segments that cross properly at x, in (i, j)
+    order, and the pairs (i, p) of a segment and an endpoint inside it,
+    in (i, Point.key) order.
+
+    An x-ordered sweep finds both: each segment, in order of left end,
+    meets only the later ones that start at or before its right end, and
+    each segment meets only the vertices bisected from the key-sorted list
+    by its x-range.  The cost is a sort plus one comparison per pair with
+    overlapping x-ranges; the exact predicates run only where the y-ranges
+    overlap too.
+    """
+    boxes = [(min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
+             for a, b in segments]
+    order = sorted(range(len(segments)), key=lambda k: boxes[k][0])
+    crossings: list[tuple[int, int, Point]] = []
+    for pos, i in enumerate(order):
+        _, xmax, ymin, ymax = boxes[i]
+        for k in range(pos + 1, len(order)):
+            j = order[k]
+            xmin_j, _, ymin_j, ymax_j = boxes[j]
+            if xmin_j > xmax:
+                break
+            if ymin_j > ymax or ymax_j < ymin:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            x = _proper_crossing(*segments[lo], *segments[hi])
+            if x is not None:
+                crossings.append((lo, hi, x))
+    crossings.sort(key=lambda c: c[:2])
+
     vertices = sorted({p for seg in segments for p in seg}, key=Point.key)
+    xs = [p.x for p in vertices]
     contacts: list[tuple[int, Point]] = []
     for i, (a, b) in enumerate(segments):
-        for p in vertices:
-            if (p not in (a, b) and not _bbox_disjoint(a, b, p, p)
+        xmin, xmax, ymin, ymax = boxes[i]
+        for p in vertices[bisect_left(xs, xmin):bisect_right(xs, xmax)]:
+            if (ymin <= p.y <= ymax and p != a and p != b
                     and point_on_segment_interior(a, b, p)):
                 contacts.append((i, p))
     return crossings, contacts
@@ -194,7 +225,7 @@ def _check_region_polygon(region: tuple[Point, ...]) -> list[Violation]:
         bad.append(Violation(REGION_INVALID, (), "not counterclockwise"))
     sides = [(region[i], region[(i + 1) % n]) for i in range(n)]
     crossings, contacts = _simplicity_faults(sides)
-    for i, j in crossings:
+    for i, j, _ in crossings:
         bad.append(Violation(REGION_INVALID, (), f"sides {i} and {j} cross"))
     for i, p in sorted(contacts, key=lambda c: (region.index(c[1]), c[0])):
         bad.append(Violation(REGION_INVALID, (), f"vertex {p} inside side {i}"))
@@ -314,11 +345,10 @@ def _geometric_boundary_checks(boundary: list[AtomicEdge]) -> list[Violation]:
     an edge means a pinched region."""
     crossings, contacts = _simplicity_faults([(e.a, e.b) for e in boundary])
     bad: list[Violation] = []
-    for i, j in crossings:
-        ei, ej = boundary[i], boundary[j]
+    for i, j, x in crossings:
+        tiles = boundary[i].tiles + boundary[j].tiles
         bad.append(Violation(
-            OVERLAP, tuple(sorted(set(ei.tiles + ej.tiles))),
-            f"boundary edges cross near {ei.a}"))
+            OVERLAP, tuple(sorted(set(tiles))), f"boundary edges cross at {x}"))
     for i, p in contacts:
         bad.append(Violation(
             NOT_SIMPLE, tuple(boundary[i].tiles),

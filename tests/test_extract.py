@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
                      TwoScaleSpec, asymptotic_audit, boundary_ring,
                      build_incidence, extract_disk_patch, fill_holes,
                      gen_recursive_split, gen_two_scale_periodic,
-                     restrict_to_disk, validate_patch)
+                     parse_tiling, restrict_to_disk, validate_patch)
 from tritile.extract import triangle_sq_dist
 from tritile.report import Status
 
@@ -14,6 +15,8 @@ import fixtures
 
 F = Fraction
 P = Point.of
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def two_scale(m=3, n=3):
@@ -75,6 +78,35 @@ class TestRestrict:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             restrict_to_disk(fixtures.square_diag(), P(0, 0), F(0))
+
+    @pytest.mark.parametrize("name, disk", [
+        ("twoscale-2", (P(2, F(3, 2)), F(1))),
+        ("recursive-4", (P(0, 0), F(1))),
+        ("convex-6", (P(0, 0), F(1, 4))),
+    ])
+    def test_box_prefilter_keeps_selection(self, name, disk, rng):
+        # the selection equals the unfiltered one, also on disks whose
+        # squared radius is exactly some tile's distance or box distance
+        patch = parse_tiling((GOLDEN / f"{name}.til").read_text())
+        xs = [p.x for t in patch.tiles for p in t.vertices]
+        ys = [p.y for t in patch.tiles for p in t.vertices]
+
+        def gap(values, v):
+            return max(min(values) - v, v - max(values), 0)
+
+        disks = [disk]
+        for _ in range(40):
+            c = Point(min(xs) + (max(xs) - min(xs)) * F(rng.randint(-8, 72), 64),
+                      min(ys) + (max(ys) - min(ys)) * F(rng.randint(-8, 72), 64))
+            t = rng.choice(patch.tiles)
+            box = (gap([p.x for p in t.vertices], c.x) ** 2
+                   + gap([p.y for p in t.vertices], c.y) ** 2)
+            for r_sq in (triangle_sq_dist(t, c), box, F(rng.randint(1, 400), 16)):
+                if r_sq > 0:
+                    disks.append((c, r_sq))
+        for c, r_sq in disks:
+            assert restrict_to_disk(patch, c, r_sq) == {
+                i for i, t in enumerate(patch.tiles) if triangle_sq_dist(t, c) < r_sq}
 
 
 class TestFillHoles:

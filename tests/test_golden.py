@@ -34,8 +34,8 @@ CASES = {
 }
 
 #: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each
-INVALID = ("annulus", "bowtie", "clockwise-region", "crossing", "crossing-region",
-           "disconnected", "missing-tile", "spike-region", "touching")
+INVALID = ("annulus", "bowtie", "clockwise-region", "comb", "crossing", "crossing-region",
+           "disconnected", "missing-tile", "spike-region", "star-region", "touching")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
