@@ -23,7 +23,6 @@ from .radicals import fraction_decimal
 from .report import AuditRecord
 from .stretches import eq1_audit, no_shared_side_conditions, w_audit
 from .svg import render_svg
-from .validate import validate_patch
 
 
 def _rationals(text: str, n: int) -> list[Fraction]:
@@ -75,8 +74,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    patch = _load(args.file)
-    report = validate_patch(patch)
+    report = _load(args.file).validation
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -90,12 +88,11 @@ def _cmd_audit(args) -> int:
 
     records: list[AuditRecord] = []
     graph = build_incidence(patch)
-    stretches, shared = graph.decomposition
+    shared = graph.decomposition[1]
     records.append(graph_audit(graph))
     records.append(eq1_audit(graph))
-    records.append(no_shared_side_conditions(graph, stretches))
-    audit = w_audit(graph, stretches, graph.labels, unit_perimeter=args.unit_perimeter)
-    records.append(audit.record)
+    records.append(no_shared_side_conditions(graph))
+    records.append(w_audit(graph, unit_perimeter=args.unit_perimeter).record)
 
     summary = AuditRecord("shared-sides")
     summary.info("count", len(shared))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .geometry import (Point, Triangle, cross, reflect_across_bisector,
                        reflect_across_line, reflect_through_midpoint)
 from .model import TilingPatch
-from .validate import validate_patch
 
 F = Fraction
 
@@ -25,7 +24,7 @@ class GeneratorError(ValueError):
 
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     """Validate once; a patch without a region gets the derived one."""
-    report = validate_patch(patch)
+    report = patch.validation
     if not report.ok:
         raise GeneratorError(
             f"{what} produced an invalid patch: "

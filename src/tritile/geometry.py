@@ -13,12 +13,12 @@ from fractions import Fraction
 
 from .radicals import LengthExpr
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the `p` or `p/q` text form (q > 0, ASCII digits only)."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}")
     if "/" in text:
         p, q = text.split("/")

@@ -9,16 +9,17 @@ on the same line; in a valid tiling every vertex interior to a side is
 such an endpoint (the tiles opposite the side must terminate there), and
 for invalid input the soup still supports the validator's certificate.
 
-Each boundary fact has one owner.  :func:`build_soup` classes each atomic
-edge as it splits the sides: internal when shared, else full or partial
-boundary as its one side is unsplit or split.  :mod:`tritile.validate`
-certifies that the boundary edges form one simple counterclockwise cycle
-and derives the region from it.  The :class:`IncidenceGraph` wraps the
-validator's soup for a *valid* patch, lists the boundary edges once, and
-exposes the counts (vertex/edge/face counts, e_full, e_part, subdividing
-vertices) and the vertex-to-tiles map that the audits and the disk
-extraction consume.  It is built once per patch and caches what later
-layers derive from it.
+Each incidence fact has one owner.  :func:`build_soup` classes each
+atomic edge as it splits the sides (internal when shared, else full or
+partial boundary as its one side is unsplit or split) and records which
+sides each vertex subdivides.  :mod:`tritile.validate` certifies that
+the boundary edges form one simple counterclockwise cycle and derives
+the region from it.  The :class:`IncidenceGraph` wraps the validator's
+soup for a *valid* patch and adds only the boundary edges and their
+vertices; every count (v, e, v*, v_bd, e_full, e_part) is read from
+the soup or from those two.  It is built once per patch and caches what
+later layers derive from it (stretches, labels, eps2), so every audit
+takes just the graph.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class SideRef:
     lo: Fraction
     hi: Fraction
     sign: int                       # side of the line the tile occupies
-    splits: list[Point] = field(default_factory=list)
 
 
 @dataclass
@@ -95,7 +95,7 @@ class AtomicEdge:
     lo: Fraction
     hi: Fraction
     incidences: list[tuple[int, int, int]]   # (tile, side index, sign)
-    # full or partial boundary by its sole side's splits; internal when shared
+    # internal when shared, else full or partial as its sole side is unsplit or split
     boundary_class: EdgeClass
 
     @property
@@ -112,7 +112,6 @@ class LineGroup:
 
 @dataclass
 class EdgeSoup:
-    tiles: tuple[Triangle, ...]
     corner_tiles: dict[Point, list[int]]
     lines: dict[LineKey, LineGroup]
     edges: list[AtomicEdge]
@@ -154,9 +153,8 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
             i0 = bisect_right(positions, ref.lo)
             i1 = bisect_left(positions, ref.hi)
             cuts = positions[i0:i1]
-            ref.splits = [pts[c] for c in cuts]
-            for v in ref.splits:
-                vertex_subdivides.setdefault(v, []).append((ref.tile, ref.index))
+            for c in cuts:
+                vertex_subdivides.setdefault(pts[c], []).append((ref.tile, ref.index))
             seq = [ref.lo, *cuts, ref.hi]
             klass = EdgeClass.PARTIAL_BOUNDARY if cuts else EdgeClass.FULL_BOUNDARY
             for u, w in zip(seq, seq[1:]):
@@ -170,14 +168,7 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
         grp.edges = [edge_map[k] for k in sorted(edge_map)]
         all_edges.extend(grp.edges)
 
-    return EdgeSoup(tiles, corner_tiles, lines, all_edges, vertex_subdivides)
-
-
-@dataclass(frozen=True, slots=True)
-class VertexFlags:
-    boundary: bool
-    subdividing: bool
-    sides_subdivided: int
+    return EdgeSoup(corner_tiles, lines, all_edges, vertex_subdivides)
 
 
 @dataclass
@@ -186,10 +177,9 @@ class IncidenceGraph:
 
     patch: TilingPatch
     soup: EdgeSoup
-    vertices: dict[Point, VertexFlags]
     region: tuple[Point, ...]            # derived boundary polygon (CCW)
     boundary_edges: list[AtomicEdge]     # full and partial, in soup order
-    boundary_vertex_count: int
+    boundary_vertices: set[Point]
 
     @property
     def tiles(self) -> tuple[Triangle, ...]:
@@ -201,7 +191,7 @@ class IncidenceGraph:
 
     @property
     def v(self) -> int:
-        return len(self.vertices)
+        return len(self.soup.corner_tiles)
 
     @property
     def e(self) -> int:
@@ -213,20 +203,20 @@ class IncidenceGraph:
 
     @property
     def v_bd(self) -> int:
-        return self.boundary_vertex_count
+        return len(self.boundary_vertices)
 
     @property
     def v_int(self) -> int:
         return self.v - self.v_bd
 
-    @cached_property
+    @property
     def v_star(self) -> int:
-        return sum(1 for fl in self.vertices.values() if fl.subdividing)
+        return len(self.soup.vertex_subdivides)
 
     @property
     def v_star_int(self) -> int:
-        return sum(1 for fl in self.vertices.values()
-                   if fl.subdividing and not fl.boundary)
+        return sum(1 for p in self.soup.vertex_subdivides
+                   if p not in self.boundary_vertices)
 
     @cached_property
     def e_full(self) -> int:
@@ -246,16 +236,7 @@ class IncidenceGraph:
         soup = report.soup
         boundary = [e for e in soup.edges if e.boundary_class is not EdgeClass.INTERNAL]
         boundary_pts = {p for e in boundary for p in (e.a, e.b)}
-
-        vertices: dict[Point, VertexFlags] = {}
-        for p in sorted(soup.corner_tiles, key=Point.key):
-            subs = soup.vertex_subdivides.get(p, [])
-            vertices[p] = VertexFlags(
-                boundary=p in boundary_pts,
-                subdividing=bool(subs),
-                sides_subdivided=len(subs),
-            )
-        return cls(patch, soup, vertices, report.derived_region, boundary, len(boundary_pts))
+        return cls(patch, soup, report.derived_region, boundary, boundary_pts)
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
@@ -288,7 +269,7 @@ class IncidenceGraph:
     @cached_property
     def labels(self) -> dict[tuple[int, int], SideLabel]:
         from .stretches import side_labels
-        return side_labels(self, self.decomposition[0])
+        return side_labels(self)
 
     @cached_property
     def eps2(self) -> LengthExpr:
@@ -332,7 +313,7 @@ def graph_audit(g: IncidenceGraph) -> AuditRecord:
     lhs, rhs = 2 * g.e, 3 * g.t + g.v_star + g.e_full + g.e_part
     rec.check("face_edge_count", lhs == rhs, lhs, rhs)
 
-    worst = max((fl.sides_subdivided for fl in g.vertices.values()), default=0)
+    worst = max(map(len, g.soup.vertex_subdivides.values()), default=0)
     rec.check("subdivides_at_most_one_side", worst <= 1, worst, 1)
 
     n_boundary = g.e_full + g.e_part

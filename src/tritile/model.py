@@ -7,7 +7,8 @@ TILING/1 is a line-oriented UTF-8 text format:
     meta key value               (optional, repeatable)
     tri x1 y1 x2 y2 x3 y3        (one per tile)
 
-Numbers are rationals, `p` or `p/q` with positive q.  A `#` starts a
+Numbers are rationals, `p` or `p/q` with positive q, and the region's
+vertex count is a plain integer, all in ASCII digits.  A `#` starts a
 comment anywhere except inside the line-1 magic.  Parsing performs no
 validation beyond syntax and triangle nondegeneracy; see
 :func:`tritile.validate.validate_patch` for the geometric checks.
@@ -15,6 +16,7 @@ validation beyond syntax and triangle nondegeneracy; see
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,10 +134,9 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
                 raise TilingParseError(line_no, "duplicate region line")
             if not args:
                 raise TilingParseError(line_no, "region needs a vertex count")
-            try:
-                n = int(args[0])
-            except ValueError as exc:
-                raise TilingParseError(line_no, "malformed vertex count") from exc
+            if not re.fullmatch("[0-9]+", args[0]):
+                raise TilingParseError(line_no, "malformed vertex count")
+            n = int(args[0])
             if n < 3 or len(args) != 1 + 2 * n:
                 raise TilingParseError(line_no, f"region expects {2 * max(n, 3)} coordinates")
             try:

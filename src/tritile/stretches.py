@@ -176,11 +176,11 @@ def shared_side_pairs(g: IncidenceGraph) -> list[tuple[int, int, tuple[Point, Po
     return g.decomposition[1]
 
 
-def side_labels(g: IncidenceGraph, stretches: list[Stretch]) -> dict[tuple[int, int], SideLabel]:
+def side_labels(g: IncidenceGraph) -> dict[tuple[int, int], SideLabel]:
     """LONG/SHORT labels induced by the tight stretches; everything else NONE."""
     labels = {(i, s): SideLabel.NONE
               for i in range(g.t) for s in range(3)}
-    for st in stretches:
+    for st in g.decomposition[0]:
         if st.klass is not StretchClass.TIGHT:
             continue
         labels[st.long_item.side] = SideLabel.LONG
@@ -218,7 +218,7 @@ def eq1_audit(g: IncidenceGraph) -> AuditRecord:
     return rec
 
 
-def no_shared_side_conditions(g: IncidenceGraph, stretches: list[Stretch]) -> AuditRecord:
+def no_shared_side_conditions(g: IncidenceGraph) -> AuditRecord:
     """The three structural facts forced on share-free tilings of a
     triangle: corner-only boundary vertices, every interior vertex
     subdividing, and every stretch tight."""
@@ -232,7 +232,7 @@ def no_shared_side_conditions(g: IncidenceGraph, stretches: list[Stretch]) -> Au
     rec.check("i_no_vertex_on_region_sides", g.v_bd == 3, g.v_bd, 3)
     rec.check("ii_interior_vertices_subdivide", g.v_star_int == g.v_int,
               g.v_star_int, g.v_int)
-    bad = sum(1 for s in stretches if s.klass is not StretchClass.TIGHT)
+    bad = sum(1 for s in g.decomposition[0] if s.klass is not StretchClass.TIGHT)
     rec.check("iii_all_stretches_size_3", bad == 0, bad, 0)
     return rec
 
@@ -267,10 +267,7 @@ class WAudit:
     record: AuditRecord = field(default_factory=lambda: AuditRecord("w-audit"))
 
 
-def w_audit(g: IncidenceGraph, stretches: list[Stretch],
-            labels: dict[tuple[int, int], SideLabel],
-            eps2: LengthExpr | None = None, *,
-            unit_perimeter: bool = False) -> WAudit:
+def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     """Compute W by its definition and via the tight-stretch identity
     W = -eps2 * sigma_tight, and verify they agree exactly.
 
@@ -278,7 +275,7 @@ def w_audit(g: IncidenceGraph, stretches: list[Stretch],
     present every check is reported n/a.
     """
     rec = AuditRecord("w-audit")
-    eps2 = g.eps2 if eps2 is None else eps2
+    stretches, labels, eps2 = g.decomposition[0], g.labels, g.eps2
     sigma = sum(1 for s in stretches if s.klass is StretchClass.TIGHT)
     loose = sum(s.size for s in stretches if s.klass is not StretchClass.TIGHT)
 
@@ -387,31 +384,27 @@ def w_audit(g: IncidenceGraph, stretches: list[Stretch],
 def composite_sides(g: IncidenceGraph) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Sides that are exactly the union of entire sides of other tiles.
 
-    A side qualifies when the sides on the opposite deck of its line tile
-    its span exactly, each lying entirely within it.
+    Read off the decomposition: a side is composite when it alone is one
+    deck of a proper stretch (the other deck is then two or more sides
+    tiling its span), or when it is a side shared with one other tile.
     """
+    stretches, shared = g.decomposition
     result = []
-    for key in sorted(g.soup.lines):
-        grp = g.soup.lines[key]
-        for ref in grp.sides:
-            opposite = sorted(
-                (o for o in grp.sides
-                 if o.sign != ref.sign and o.lo < ref.hi and o.hi > ref.lo),
-                key=lambda o: o.lo)
-            if not opposite:
-                continue
-            if any(o.lo < ref.lo or o.hi > ref.hi for o in opposite):
-                continue
-            pos = ref.lo
-            for o in opposite:
-                if o.lo != pos:
-                    pos = None
-                    break
-                pos = o.hi
-            if pos == ref.hi:
-                result.append((ref.tile, ref.index,
-                               tuple((o.tile, o.index) for o in opposite)))
+    for st in stretches:
+        if st.klass is StretchClass.IMPROPER:
+            continue
+        for deck, other in ((st.above, st.below), (st.below, st.above)):
+            if len(deck) == 1:
+                result.append((*deck[0].side, tuple(i.side for i in other)))
+    for t1, t2, seg in shared:
+        s1, s2 = _side_index(g, t1, seg), _side_index(g, t2, seg)
+        result.append((t1, s1, ((t2, s2),)))
+        result.append((t2, s2, ((t1, s1),)))
     return sorted(result)
+
+
+def _side_index(g: IncidenceGraph, tile: int, seg: tuple[Point, Point]) -> int:
+    return next(s for s, side in enumerate(g.tiles[tile].sides()) if set(side) == set(seg))
 
 
 def composite_hop_distances(g: IncidenceGraph) -> list[int | None]:

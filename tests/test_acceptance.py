@@ -16,7 +16,7 @@ from tritile import (LengthExpr, Ordering, Point, RecursiveSplitSpec,
                      gen_recursive_split, gen_reflected_pair,
                      gen_two_scale_periodic, graph_audit,
                      neighbor_hops_to_composite, no_shared_side_conditions,
-                     reflection_classify, shared_side_pairs, side_labels,
+                     reflection_classify, shared_side_pairs,
                      side_length_range, validate_patch, w_audit)
 from tritile.cli import main as cli_main
 from tritile.model import polygon_area
@@ -104,7 +104,7 @@ def test_criterion_3_recursive_structure():
             g = build_incidence(patch)
             stretches, shared = decompose_stretches(g)
             assert shared == []
-            cond = no_shared_side_conditions(g, stretches)
+            cond = no_shared_side_conditions(g)
             assert cond.ok and not cond.not_applicable_entries
             sigma = sum(1 for s in stretches if s.size == 3)
             loose = sum(s.size for s in stretches if s.size != 3)
@@ -117,9 +117,8 @@ def test_criterion_3_recursive_structure():
     g = build_incidence(patch)
     assert graph_audit(g).ok
     assert eq1_audit(g).ok
-    stretches, _ = decompose_stretches(g)
-    assert no_shared_side_conditions(g, stretches).ok
-    audit = w_audit(g, stretches, side_labels(g, stretches))
+    assert no_shared_side_conditions(g).ok
+    audit = w_audit(g)
     assert audit.record.ok and audit.sigma_tight == 600
     elapsed = time.monotonic() - start
     _report(3, elapsed < 5,
@@ -145,8 +144,7 @@ def test_criterion_4_w_identity():
         g = build_incidence(patch)
         if shared_side_pairs(g):
             continue
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert audit.applicable
         assert audit.w_definition.compare(audit.w_identity) is Ordering.EQ
         assert audit.w_identity.compare(audit.epsilon2 * -audit.sigma_tight) \

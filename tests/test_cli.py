@@ -1,8 +1,11 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tritile import Point, RecursiveSplitSpec, build_incidence, gen_recursive_split
 from tritile.cli import main
 from tritile.model import parse_tiling
 
@@ -28,7 +31,7 @@ class TestGenerate:
     def test_recursive_writes_file(self, til, tmp_path):
         path = til("a.til", "generate", "recursive", "--base", "0,0,1,0,0,1",
                    "--t", "2", "--depth", "3")
-        patch = parse_tiling(open(path, "rb").read())
+        patch = parse_tiling(Path(path).read_bytes())
         assert len(patch.tiles) == 10
         assert ("generator", "recursive") in patch.metadata
 
@@ -69,6 +72,16 @@ class TestValidate:
         code, _, err = run(["validate", str(path)], tmp_path)
         assert code == 1
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("line", ["tri \u0660 0 1 0 0 1", "tri 0 0 \uff11/\uff12 0 0 1",
+                                      "region +3 0 0 1 0 0 1", "region 0_3 0 0 1 0 0 1",
+                                      "region \u0663 0 0 1 0 0 1"])
+    def test_non_ascii_number_exit_1(self, tmp_path, line):
+        path = tmp_path / "bad.til"
+        path.write_bytes(f"#TILING 1\n{line}\n".encode("utf-8"))
+        code, out, err = run(["validate", str(path)], tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2: malformed ")
 
     def test_missing_file_exit_1(self, tmp_path):
         code, _, err = run(["validate", str(tmp_path / "nope.til")], tmp_path)
@@ -239,6 +252,12 @@ class TestAnalysedOnce:
         assert code == 0 and "[asymptotic-audit]" in out
         # with --disk: the ambient patch and the extracted piece, once each
         assert (len(validations), len(soups)) == (expected, expected)
+
+    def test_generated_patch_reuses_its_validation(self, monkeypatch):
+        validations = self._count(monkeypatch, "validate_patch")
+        base = (Point.of(0, 0), Point.of(1, 0), Point.of(0, 1))
+        build_incidence(gen_recursive_split(RecursiveSplitSpec(base, Fraction(2), 3)))
+        assert len(validations) == 1
 
     def test_generate_validates_once(self, tmp_path, monkeypatch):
         validations = self._count(monkeypatch, "validate_patch")

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tritile import (EdgeClass, Point, RecursiveSplitSpec, TilingPatch,
                      Triangle, apply_affine, build_incidence,
-                     gen_recursive_split, graph_audit, point_on_segment_interior)
+                     gen_recursive_split, graph_audit, parse_tiling,
+                     point_on_segment_interior)
 
 import fixtures
 
 F = Fraction
 P = Point.of
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def recount_edges(patch: TilingPatch) -> int:
@@ -34,6 +37,29 @@ def recount_edges(patch: TilingPatch) -> int:
             for u, w in zip(on, on[1:]):
                 segments.add((u, w) if u.key() <= w.key() else (w, u))
     return len(segments)
+
+
+def _strictly_inside(a: Point, b: Point, p: Point) -> bool:
+    dx, dy = b.x - a.x, b.y - a.y
+    if (p.x - a.x) * dy != (p.y - a.y) * dx:
+        return False
+    s = (p.x - a.x) * dx + (p.y - a.y) * dy
+    return 0 < s < dx * dx + dy * dy
+
+
+def recount_vertices(patch: TilingPatch, region) -> tuple[int, int, int, int, int]:
+    """Independent vertex-count oracle: (v, v_bd, v*, v*_int, the most
+    sides one vertex subdivides), by testing every vertex against every
+    tile side and every edge of the region polygon."""
+    vertices = {p for t in patch.tiles for p in t.vertices}
+    edges = list(zip(region, region[1:] + region[:1]))
+    on_boundary = {p for p in vertices
+                   if any(p in (a, b) or _strictly_inside(a, b, p) for a, b in edges)}
+    subdivided = {p: sum(_strictly_inside(a, b, p) for t in patch.tiles for a, b in t.sides())
+                  for p in vertices}
+    star = {p for p, n in subdivided.items() if n}
+    return (len(vertices), len(on_boundary), len(star), len(star - on_boundary),
+            max(subdivided.values()))
 
 
 class TestCounts:
@@ -123,13 +149,26 @@ class TestOracles:
         patch = make_patch()
         assert build_incidence(patch).e == recount_edges(patch)
 
+    def test_vertex_counts_match_brute_force(self):
+        from test_random_patches import random_refined_patch
+        corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
+                  fixtures.notched_split(), fixtures.offset_quad()]
+        corpus += [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
+                   for name in ("twoscale-2", "recursive-4", "convex-6")]
+        corpus += [random_refined_patch(seed) for seed in range(50)]
+        for patch in corpus:
+            g = build_incidence(patch)
+            worst = graph_audit(g).get("subdivides_at_most_one_side").value.split()[0]
+            got = (g.v, g.v_bd, g.v_star, g.v_star_int, int(worst))
+            assert got == recount_vertices(patch, patch.region or g.region)
+
     def test_atomicity(self):
         # no vertex lies in the relative interior of an atomic edge
         patch = gen_recursive_split(RecursiveSplitSpec(
             (P(0, 0), P(1, 0), P(0, 1)), F(2), 4))
         g = build_incidence(patch)
         for e in g.soup.edges:
-            for v in g.vertices:
+            for v in g.soup.corner_tiles:
                 if v not in (e.a, e.b):
                     assert not point_on_segment_interior(e.a, e.b, v)
 

@@ -49,6 +49,19 @@ class TestParse:
         with pytest.raises(TilingParseError, match="line 2: malformed rational"):
             parse_tiling(b"#TILING 1\ntri 0 0 1.5 0 0 1\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("tri \u0660 0 1 0 0 1", "malformed rational"),          # Arabic-Indic zero
+        ("tri 0 0 \uff11/\uff12 0 0 1", "malformed rational"),   # fullwidth 1/2
+        ("tri 0 0 \u0663 0 0 1", "malformed rational"),          # Arabic-Indic three
+        ("region +3 0 0 2 0 0 2", "malformed vertex count"),
+        ("region 0_3 0 0 2 0 0 2", "malformed vertex count"),
+        ("region \u0663 0 0 2 0 0 2", "malformed vertex count"),
+    ])
+    def test_numbers_are_ascii_digits(self, line, message):
+        data = f"#TILING 1\nmeta note x\n{line}\ntri 0 0 2 0 0 2\n".encode("utf-8")
+        with pytest.raises(TilingParseError, match=f"line 3: {message}"):
+            parse_tiling(data)
+
     def test_zero_denominator(self):
         with pytest.raises(TilingParseError, match="malformed rational"):
             parse_tiling(b"#TILING 1\ntri 0 0 1/0 0 0 1\n")

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +8,10 @@ from tritile import (LengthExpr, Ordering, Point, RecursiveSplitSpec,
                      StretchClass, SideLabel, TilingPatch, Triangle,
                      TwoScaleSpec, apply_affine, build_incidence,
                      composite_sides, decompose_stretches, epsilon2, eq1_audit,
-                     gen_convex_triangulation, gen_recursive_split,
+                     extract_disk_patch, gen_convex_triangulation, gen_recursive_split,
                      gen_two_scale_periodic, neighbor_hops_to_composite,
-                     no_shared_side_conditions, shared_side_pairs, side_labels,
-                     w_audit)
+                     no_shared_side_conditions, parse_tiling, shared_side_pairs,
+                     side_labels, w_audit)
 from tritile.report import Status
 
 import fixtures
@@ -17,6 +19,7 @@ from conftest import expr_decimal
 
 F = Fraction
 P = Point.of
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def brute_force_shared(patch: TilingPatch):
@@ -42,6 +45,33 @@ def brute_force_shared_segments(patch: TilingPatch):
     triples = [(a, b, seg) for seg, tiles in by_segment.items()
                for k, a in enumerate(tiles) for b in tiles[k + 1:]]
     return sorted(triples, key=lambda s: (s[0], s[1]))
+
+
+def brute_force_composite_sides(g):
+    """Per-line scan: a side is composite when the sides on the opposite
+    deck of its line tile its span exactly, each lying entirely within it."""
+    result = []
+    for key in sorted(g.soup.lines):
+        grp = g.soup.lines[key]
+        for ref in grp.sides:
+            opposite = sorted(
+                (o for o in grp.sides
+                 if o.sign != ref.sign and o.lo < ref.hi and o.hi > ref.lo),
+                key=lambda o: o.lo)
+            if not opposite:
+                continue
+            if any(o.lo < ref.lo or o.hi > ref.hi for o in opposite):
+                continue
+            pos = ref.lo
+            for o in opposite:
+                if o.lo != pos:
+                    pos = None
+                    break
+                pos = o.hi
+            if pos == ref.hi:
+                result.append((ref.tile, ref.index,
+                               tuple((o.tile, o.index) for o in opposite)))
+    return sorted(result)
 
 
 def recursive(depth, t=F(2), base=(P(0, 0), P(1, 0), P(0, 1))):
@@ -194,8 +224,7 @@ class TestConditions:
     @pytest.mark.parametrize("depth", [0, 1, 4])
     def test_recursive_all_true(self, depth):
         g = build_incidence(recursive(depth))
-        stretches, _ = decompose_stretches(g)
-        rec = no_shared_side_conditions(g, stretches)
+        rec = no_shared_side_conditions(g)
         for name in ("i_no_vertex_on_region_sides", "ii_interior_vertices_subdivide",
                      "iii_all_stretches_size_3"):
             assert rec.get(name).status is Status.PASS
@@ -210,15 +239,12 @@ class TestConditions:
         tiles += [Triangle(P(-1, 0), mid, P(1, 0)), Triangle(mid, P(2, -1), P(1, 0))]
         sub = TilingPatch(tuple(tiles), patch.region)
         g = build_incidence(sub)
-        stretches, _ = decompose_stretches(g)
-        rec = no_shared_side_conditions(g, stretches)
+        rec = no_shared_side_conditions(g)
         assert rec.get("conditions").status is Status.NA
 
     def test_non_triangle_region_not_applicable(self):
         g = build_incidence(fixtures.square_diag())
-        stretches, _ = decompose_stretches(g)
-        assert no_shared_side_conditions(g, stretches).get("conditions").status \
-            is Status.NA
+        assert no_shared_side_conditions(g).get("conditions").status is Status.NA
 
 
 class TestEpsilon2:
@@ -257,8 +283,7 @@ class TestEpsilon2:
 class TestLabels:
     def test_depth1_labels(self):
         g = build_incidence(recursive(1))
-        stretches, _ = decompose_stretches(g)
-        labels = side_labels(g, stretches)
+        labels = side_labels(g)
         longs = [k for k, v in labels.items() if v is SideLabel.LONG]
         shorts = [k for k, v in labels.items() if v is SideLabel.SHORT]
         assert len(longs) == 3 and len(shorts) == 6
@@ -276,8 +301,7 @@ class TestLabels:
 class TestWAudit:
     def test_depth1_exact(self):
         g = build_incidence(recursive(1))
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert audit.applicable
         assert audit.sigma_tight == 3 and audit.loose_total_size == 0
         assert audit.w_definition.compare(audit.epsilon2 * -3) is Ordering.EQ
@@ -286,8 +310,7 @@ class TestWAudit:
     @pytest.mark.parametrize("depth,t", [(2, F(2)), (4, F(3, 2)), (6, F(3))])
     def test_depth_n_counts(self, depth, t):
         g = build_incidence(recursive(depth, t))
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert audit.sigma_tight == 3 * depth
         assert audit.loose_total_size == 0
         assert audit.e_full == 3
@@ -296,15 +319,13 @@ class TestWAudit:
 
     def test_notched_routes_agree(self):
         g = build_incidence(fixtures.notched_split())
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert audit.applicable and audit.record.ok
         assert audit.sigma_tight == 3 and audit.loose_total_size == 2
 
     def test_shared_sides_not_applicable(self):
         g = build_incidence(fixtures.square_diag())
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert not audit.applicable
         assert audit.record.get("w_routes_agree").status is Status.NA
 
@@ -313,9 +334,7 @@ class TestWAudit:
         tile = Triangle(P(0, 0), P(F(1, 3), 0), P(0, F(1, 4)))
         patch = TilingPatch((tile,), tile.vertices)
         g = build_incidence(patch)
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches),
-                        unit_perimeter=True)
+        audit = w_audit(g, unit_perimeter=True)
         assert audit.record.get("unit_perimeter").status is Status.PASS
         assert audit.type_counts["exceptional"] == 1
         assert audit.record.get("exceptional_bound").status is Status.PASS
@@ -323,15 +342,12 @@ class TestWAudit:
 
     def test_unit_perimeter_flag_fails_on_non_unit(self):
         g = build_incidence(recursive(1))
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches),
-                        unit_perimeter=True)
+        audit = w_audit(g, unit_perimeter=True)
         assert audit.record.get("unit_perimeter").status is Status.FAIL
 
     def test_type_counts_depth3(self):
         g = build_incidence(recursive(3))
-        stretches, _ = decompose_stretches(g)
-        audit = w_audit(g, stretches, side_labels(g, stretches))
+        audit = w_audit(g)
         assert audit.type_counts == {"type0": 1, "type1": 6, "type2": 0,
                                      "type3": 0, "exceptional": 3}
         assert len(audit.contributions) == g.t
@@ -381,6 +397,29 @@ class TestComposite:
                 for ct, ci in cover
                 for a, b in [fixtures.notched_split().tiles[ct].sides()[ci]])
             assert total  # covering sides are nondegenerate
+
+
+    def test_matches_per_line_scan(self):
+        from test_random_patches import random_refined_patch
+        corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
+                  fixtures.notched_split(), fixtures.offset_quad()]
+        corpus += [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
+                   for name in ("twoscale-2", "recursive-4", "convex-6")]
+        corpus += [random_refined_patch(seed) for seed in range(200)]
+        ambient = gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 4, 4))
+        with_improper = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            centre = P(F(rng.randint(0, 40), 4), F(rng.randint(0, 28), 4))
+            piece = extract_disk_patch(ambient, centre, F(rng.randint(1, 40), 4)).patch
+            with_improper += any(st.klass is StretchClass.IMPROPER
+                                 for st in build_incidence(piece).decomposition[0])
+            corpus.append(piece)
+        assert with_improper >= 30
+        for patch in corpus:
+            g = build_incidence(patch)
+            # the same entries in the same order
+            assert composite_sides(g) == brute_force_composite_sides(g)
 
 
 class TestNeighborHops:
