@@ -5,7 +5,7 @@ from .geometry import (Orientation, Point, ReflectionKind, Triangle,
                        congruence_check, equal_invariant_apexes, orientation,
                        parse_rational, point_on_segment_interior,
                        reflection_classify, triangle_metrics)
-from .radicals import Interval, LengthExpr, Ordering
+from .radicals import Interval, LengthExpr
 from .model import (TilingParseError, TilingPatch, apply_affine, parse_tiling,
                     serialize_tiling, side_length_range)
 from .validate import (RegionError, ValidationReport, Violation, derive_region,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed checks or bad input data, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -32,11 +33,18 @@ def _rationals(text: str, n: int) -> list[Fraction]:
     return [parse_rational(p.strip()) for p in parts]
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An integer option, in ASCII digits like TILING/1 numbers."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -187,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--base", default="0,0,1,0,0,1",
                      help="six rationals: the inner triangle")
     rec.add_argument("--t", default="2", help="expansion factor, rational > 1")
-    rec.add_argument("--depth", type=int, default=1)
+    rec.add_argument("--depth", type=_int, default=1)
     two = gensub.add_parser("twoscale")
     two.add_argument("--b", default="1", help="big-triangle base")
     two.add_argument("--h", "--height", dest="height", default="1",
                      help="big-triangle height")
-    two.add_argument("--m", type=int, default=3)
-    two.add_argument("--n", type=int, default=3)
+    two.add_argument("--m", type=_int, default=3)
+    two.add_argument("--n", type=_int, default=3)
     con = gensub.add_parser("convex")
-    con.add_argument("--k", type=int, default=5)
-    con.add_argument("--seed", type=int, default=0)
+    con.add_argument("--k", type=_int, default=5)
+    con.add_argument("--seed", type=_int, default=0)
     con.add_argument("--strategy", choices=("fan", "random"), default="random")
     pair = gensub.add_parser("pair")
     pair.add_argument("--triangle", default="0,0,4,0,1,3")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .geometry import Point, Triangle, segment_sq_dist, sq_dist
 from .incidence import IncidenceGraph, build_incidence
 from .model import TilingPatch
-from .radicals import LengthExpr, Ordering
+from .radicals import LengthExpr
 from .report import AuditRecord
 from .stretches import StretchClass
 from .validate import derive_region, point_in_polygon
@@ -167,7 +167,7 @@ def extract_disk_patch(ambient: TilingPatch, center: Point, r_sq: Fraction) -> E
 
 
 def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: bool = False,
-                     coverage_certificate: bool | None = None,
+                     coverage_certificate: bool = False,
                      r_sq: Fraction | None = None) -> AuditRecord:
     """Boundary-effect accounting on a finite piece.
 
@@ -177,7 +177,8 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
     boundary length, and e_part <= 3t'.  The last one rests on every
     boundary vertex belonging to a ring triangle, which fails when the
     piece reaches the edge of the known tiling, so a violation downgrades
-    to n/a unless ``coverage_certificate`` says the grown disk is covered.
+    to n/a unless ``coverage_certificate`` is True, which says the grown
+    disk is covered (False, the default, says nothing is known).
     """
     rec = AuditRecord("asymptotic-audit")
     g = build_incidence(patch)
@@ -190,9 +191,8 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
 
     min_side_sq = min(s for tile in patch.tiles for s in tile.squared_sides())
     min_area = min(tile.area for tile in patch.tiles)
-    boundary_len = LengthExpr()
-    for e in g.boundary_edges:
-        boundary_len = boundary_len + LengthExpr.sqrt(sq_dist(e.a, e.b))
+    boundary_len = LengthExpr.sum(LengthExpr.sqrt(sq_dist(e.a, e.b))
+                                  for e in g.boundary_edges)
 
     rec.info("t", t)
     rec.info("t_prime", t_prime)
@@ -219,9 +219,7 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
         rec.check("subdividing_vertex_bound", lhs >= rhs, lhs, rhs)
 
     min_side = LengthExpr.sqrt(min_side_sq)
-    lhs_expr = min_side * g.e_full
-    rec.check("full_boundary_bound",
-              lhs_expr.compare(boundary_len) is not Ordering.GT,
+    rec.check("full_boundary_bound", min_side * g.e_full <= boundary_len,
               f"{g.e_full}*min_side", f"~{boundary_len.decimal_str()}")
 
     part_ok = g.e_part <= 3 * t_prime
@@ -236,8 +234,7 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
 
     if unit_perimeter:
         one = LengthExpr.rational(1)
-        perims_ok = all(tile.perimeter().compare(one) is Ordering.EQ
-                        for tile in patch.tiles)
+        perims_ok = all(tile.perimeter() == one for tile in patch.tiles)
         rec.check("unit_perimeter", perims_ok)
         # every side longer than four times the smallest area
         side_ok = min_side_sq > 16 * min_area * min_area

@@ -23,13 +23,18 @@ class GeneratorError(ValueError):
 
 
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
-    """Validate once; a patch without a region gets the derived one."""
+    """Validate once.  A patch without a region gets the derived one and
+    keeps this report: validating it with that region gives an equal one."""
     report = patch.validation
     if not report.ok:
         raise GeneratorError(
             f"{what} produced an invalid patch: "
             + "; ".join(v.describe() for v in report.violations))
-    return patch if patch.region is not None else patch.with_region(report.derived_region)
+    if patch.region is not None:
+        return patch
+    with_region = patch.with_region(report.derived_region)
+    with_region.__dict__["validation"] = report
+    return with_region
 
 
 @dataclass(frozen=True, slots=True)

@@ -156,10 +156,7 @@ class Triangle:
         return tuple(sorted(sq_dist(p, q) for p, q in self.sides()))
 
     def perimeter(self) -> LengthExpr:
-        e = LengthExpr()
-        for p, q in self.sides():
-            e = e + LengthExpr.sqrt(sq_dist(p, q))
-        return e
+        return LengthExpr.sum(LengthExpr.sqrt(sq_dist(p, q)) for p, q in self.sides())
 
     def contains(self, p: Point) -> bool:
         """Closed containment test."""

@@ -10,20 +10,22 @@ is the square of a rational (``sqrt(8) = 2*sqrt(2)``), and the smaller
 radicand is kept as the class representative.  After that merge, square
 roots of the surviving radicands are linearly independent over the
 rationals (square roots of distinct squarefree kernels are), so the
-expression is zero exactly when no term survives.  That makes equality
-decidable by pure rational arithmetic.  Strict comparisons are decided by
-interval refinement with doubling precision, which terminates because the
-difference is known to be nonzero by the time refinement starts: the
-enclosure width shrinks to 0 as the precision doubles, so it eventually
-excludes 0, however large the coordinates are.  There is no precision cap.
+expression is zero exactly when no term survives.  That makes ``==`` and
+``!=`` decidable by pure rational arithmetic; they never refine.  A sum
+of many terms is canonicalised once, by :meth:`LengthExpr.sum`.  The
+order comparisons ``<``, ``<=``, ``>`` and ``>=`` read the sign of the
+difference, decided by interval refinement with doubling precision, which
+terminates because the difference is known to be nonzero by the time
+refinement starts: the enclosure width shrinks to 0 as the precision
+doubles, so it eventually excludes 0, however large the coordinates are.
+There is no precision cap.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -31,14 +33,6 @@ ONE = Fraction(1)
 
 #: First precision used when refining an enclosure for a sign decision.
 START_BITS = 64
-
-
-class Ordering(Enum):
-    """Result of an exact three-way comparison."""
-
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -157,6 +151,11 @@ class LengthExpr:
         """The expression coeff * sqrt(r)."""
         return cls([(Fraction(r), Fraction(coeff))])
 
+    @classmethod
+    def sum(cls, exprs: Iterable["LengthExpr"]) -> "LengthExpr":
+        """The sum of all of exprs, canonicalised once (empty sum: zero)."""
+        return cls([term for e in exprs for term in e._terms])
+
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, radicands ascending."""
@@ -228,9 +227,6 @@ class LengthExpr:
         iv = self.refine_until(lambda iv: iv.lo > 0 or iv.hi < 0)
         return 1 if iv.lo > 0 else -1
 
-    def compare(self, other: "LengthExpr") -> Ordering:
-        return Ordering((self - other).sign())
-
     # Rich comparisons are value comparisons; note that __eq__ therefore
     # deliberately disagrees with identity of the canonical forms
     # (sqrt(18) == 3*sqrt(2) holds) and LengthExpr is not hashable.
@@ -242,16 +238,16 @@ class LengthExpr:
         return (self - other).is_zero()
 
     def __lt__(self, other: "LengthExpr") -> bool:
-        return self.compare(other) is Ordering.LT
+        return (self - other).sign() < 0
 
     def __le__(self, other: "LengthExpr") -> bool:
-        return self.compare(other) is not Ordering.GT
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: "LengthExpr") -> bool:
-        return self.compare(other) is Ordering.GT
+        return (self - other).sign() > 0
 
     def __ge__(self, other: "LengthExpr") -> bool:
-        return self.compare(other) is not Ordering.LT
+        return (self - other).sign() >= 0
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .geometry import Point, cross, sq_dist
 from .incidence import EdgeClass, IncidenceGraph, LineKey
 from .model import TilingPatch
-from .radicals import LengthExpr, Ordering
+from .radicals import LengthExpr
 from .report import AuditRecord
 
 
@@ -238,16 +238,17 @@ def no_shared_side_conditions(g: IncidenceGraph) -> AuditRecord:
 
 
 def epsilon2(patch: TilingPatch) -> LengthExpr:
-    """Minimum over tiles of (two shorter sides minus the longest side)."""
+    """Minimum over tiles of (two shorter sides minus the longest side).
+
+    Congruent tiles have equal margins, so one margin is measured per
+    shape (squared side lengths), in tile order; on a tie the first tile's
+    margin, and so its written form, wins.
+    """
     if not patch.tiles:
         raise ValueError("empty patch")
-    best: LengthExpr | None = None
-    for t in patch.tiles:
-        s1, s2, s3 = t.squared_sides()
-        margin = (LengthExpr.sqrt(s1) + LengthExpr.sqrt(s2)) - LengthExpr.sqrt(s3)
-        if best is None or margin.compare(best) is Ordering.LT:
-            best = margin
-    return best
+    shapes = dict.fromkeys(t.squared_sides() for t in patch.tiles)
+    return min((LengthExpr.sqrt(s1) + LengthExpr.sqrt(s2)) - LengthExpr.sqrt(s3)
+               for s1, s2, s3 in shapes)
 
 
 @dataclass
@@ -295,9 +296,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     rec.check("short_count_is_twice_sigma", n_short == 2 * sigma, n_short, 2 * sigma)
 
     # per-stretch exact cancellation: the long side spans the two shorts
-    third = Fraction(1, 3)
-    len_diff = LengthExpr()          # total short length - total long length
-    cancel_ok = True
+    pieces: list[LengthExpr] = []
     ties_ok = True
     for st in stretches:
         if st.klass is not StretchClass.TIGHT:
@@ -308,65 +307,59 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
         sq1, sq2 = sq_dist(s1.a, s1.b), sq_dist(s2.a, s2.b)
         if not (long_sq > sq1 and long_sq > sq2):
             ties_ok = False
-        piece = (LengthExpr.sqrt(sq1) + LengthExpr.sqrt(sq2)
-                 - LengthExpr.sqrt(long_sq))
-        if not piece.is_zero():
-            cancel_ok = False
-        len_diff = len_diff + piece
-    rec.check("tight_length_cancellation", cancel_ok)
+        pieces.append(LengthExpr.sqrt(sq1) + LengthExpr.sqrt(sq2)
+                      - LengthExpr.sqrt(long_sq))
+    rec.check("tight_length_cancellation", all(p.is_zero() for p in pieces))
     rec.check("long_side_strictly_longest", ties_ok)
 
-    w_def = (LengthExpr.rational(Fraction(2, 3) * n_long - third * n_short)
-             - eps2 * n_long + len_diff)
+    len_diff = LengthExpr.sum(pieces)   # total short length - total long length
+    w_def = LengthExpr.sum([LengthExpr.rational(Fraction(2 * n_long - n_short, 3)),
+                            eps2 * -n_long, len_diff])
     w_id = -(eps2 * sigma)
-    routes = w_def.compare(w_id)
-    rec.check("w_routes_agree", routes is Ordering.EQ,
-              f"{w_def!r}", f"{w_id!r}")
+    rec.check("w_routes_agree", w_def == w_id, f"{w_def!r}", f"{w_id!r}")
 
     # classify tiles and accumulate per-tile contributions
     type_counts = {"type0": 0, "type1": 0, "type2": 0, "type3": 0, "exceptional": 0}
     contributions: list[LengthExpr] = []
-    two_thirds = LengthExpr.rational(Fraction(2, 3))
+    one = LengthExpr.rational(1)
     checks = {"type1_nonnegative": True, "type0_zero": True,
               "type2_bound": True, "type3_value": True,
               "exceptional_bound": True, "unit_perimeter": True}
     for i, tile in enumerate(g.tiles):
         kinds = [labels[(i, s)] for s in range(3)]
-        contrib = LengthExpr()
-        for s, kind in enumerate(kinds):
-            p, q = tile.sides()[s]
-            length = LengthExpr.sqrt(sq_dist(p, q))
-            if kind is SideLabel.LONG:
-                contrib = contrib + two_thirds - eps2 - length
-            elif kind is SideLabel.SHORT:
-                contrib = contrib + length - LengthExpr.rational(third)
+        n = kinds.count(SideLabel.LONG)
+        # each long side adds 2/3 - eps2 - length, each short one length - 1/3
+        contrib = LengthExpr.sum([
+            LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)),
+            eps2 * -n,
+            *(LengthExpr.sqrt(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
+              for (p, q), kind in zip(tile.sides(), kinds) if kind is not SideLabel.NONE)])
         contributions.append(contrib)
 
         if SideLabel.NONE in kinds:
             type_counts["exceptional"] += 1
             if unit_perimeter:
                 bound = tile.perimeter() * Fraction(-2, 3)
-                if contrib.compare(bound) is Ordering.LT:
+                if contrib < bound:
                     checks["exceptional_bound"] = False
             continue
-        n = sum(1 for k in kinds if k is SideLabel.LONG)
         type_counts[f"type{n}"] += 1
         if n == 1 and contrib.sign() < 0:
             checks["type1_nonnegative"] = False
         if unit_perimeter:
             perim = tile.perimeter()
-            if perim.compare(LengthExpr.rational(1)) is not Ordering.EQ:
+            if perim != one:
                 checks["unit_perimeter"] = False
             if n == 0 and not contrib.is_zero():
                 checks["type0_zero"] = False
             if n == 2:
                 min_side = LengthExpr.sqrt(tile.squared_sides()[0])
                 bound = min_side * 2 - eps2 * 2
-                if contrib.compare(bound) is Ordering.LT:
+                if contrib < bound:
                     checks["type2_bound"] = False
             if n == 3:
                 expected = perim - eps2 * 3
-                if contrib.compare(expected) is not Ordering.EQ:
+                if contrib != expected:
                     checks["type3_value"] = False
 
     for name, count in type_counts.items():

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 
-from tritile import (LengthExpr, Ordering, Point, RecursiveSplitSpec,
+from tritile import (LengthExpr, Point, RecursiveSplitSpec,
                      ReflectionKind, TilingPatch, Triangle, TwoScaleSpec,
                      asymptotic_audit, build_incidence, composite_sides,
                      congruence_check, convex_polygon_on_circle,
@@ -146,9 +146,8 @@ def test_criterion_4_w_identity():
             continue
         audit = w_audit(g)
         assert audit.applicable
-        assert audit.w_definition.compare(audit.w_identity) is Ordering.EQ
-        assert audit.w_identity.compare(audit.epsilon2 * -audit.sigma_tight) \
-            is Ordering.EQ
+        assert audit.w_definition == audit.w_identity
+        assert audit.w_identity == audit.epsilon2 * -audit.sigma_tight
         assert audit.record.ok
         checked += 1
     _report(4, checked >= 12, f"exact W route agreement on {checked} patches")
@@ -202,7 +201,7 @@ def test_criterion_6_reflection_invariants(rng):
             pair = gen_reflected_pair(t, kind)
             t1, t2 = pair.tiles
             assert t1.area == t2.area
-            assert t1.perimeter().compare(t2.perimeter()) is Ordering.EQ
+            assert t1.perimeter() == t2.perimeter()
             assert congruence_check(t1, t2)
             other = next(tt for tt in pair.tiles if tt != t)
             zp = next(p for p in other.vertices if p not in (x, y))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from tritile import Point, RecursiveSplitSpec, build_incidence, gen_recursive_split
+from tritile import (Point, RecursiveSplitSpec, TwoScaleSpec, build_incidence,
+                     gen_recursive_split, gen_two_scale_periodic, validate_patch)
 from tritile.cli import main
 from tritile.model import parse_tiling
 
@@ -154,6 +155,29 @@ class TestOtherCommands:
         assert err.value.code == 2
         assert not (tmp_path / "a.svg").exists()
 
+    @pytest.mark.parametrize("text", ["\u0663", "+3", "0_3"],
+                             ids=["arabic-indic", "plus", "underscore"])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "recursive", "-o", "OUT", "--depth"],
+        ["generate", "twoscale", "-o", "OUT", "--m"],
+        ["generate", "twoscale", "-o", "OUT", "--n"],
+        ["generate", "convex", "-o", "OUT", "--k"],
+        ["generate", "convex", "-o", "OUT", "--seed"],
+        ["stats", "FILE", "--precision-bits"],
+        ["render", "FILE", "-o", "OUT", "--width"],
+    ], ids=lambda argv: argv[-1])
+    def test_non_ascii_int_option_exit_2(self, til, tmp_path, argv, text):
+        # integer options take ASCII digits only, like TILING/1 numbers
+        path = til("a.til", "generate", "recursive", "--depth", "1")
+        out_path = tmp_path / "out"
+        argv = [{"FILE": path, "OUT": str(out_path)}.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+            main([*argv, text])
+        assert exc.value.code == 2
+        assert f"invalid int value: {text!r}" in err.getvalue()
+        assert out.getvalue() == "" and not out_path.exists()
+
     def test_render(self, til, tmp_path):
         path = til("a.til", "generate", "recursive", "--depth", "2")
         out_svg = tmp_path / "a.svg"
@@ -258,6 +282,11 @@ class TestAnalysedOnce:
         base = (Point.of(0, 0), Point.of(1, 0), Point.of(0, 1))
         build_incidence(gen_recursive_split(RecursiveSplitSpec(base, Fraction(2), 3)))
         assert len(validations) == 1
+        # a two-scale patch gets its derived region and keeps the report
+        patch = gen_two_scale_periodic(TwoScaleSpec(Fraction(1), Fraction(1), 2, 2))
+        build_incidence(patch)
+        assert len(validations) == 2
+        assert validate_patch(patch) == patch.validation
 
     def test_generate_validates_once(self, tmp_path, monkeypatch):
         validations = self._count(monkeypatch, "validate_patch")

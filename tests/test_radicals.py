@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import Interval, LengthExpr, Ordering
+from tritile import Interval, LengthExpr
 from tritile.radicals import fraction_decimal, rational_sqrt, sqrt_enclosure
 
 from conftest import conjugate_product, expr_decimal
@@ -42,16 +42,16 @@ class TestCanonicalForm:
 class TestCompare:
     def test_equal_sums_of_dependent_radicals(self):
         # sqrt(2) + sqrt(8) = 3*sqrt(2) = sqrt(18)
-        assert (sq(2) + sq(8)).compare(sq(18)) is Ordering.EQ
+        assert sq(2) + sq(8) == sq(18)
 
     def test_sqrt2_below_three_halves(self):
-        assert sq(2).compare(LengthExpr.rational(F(3, 2))) is Ordering.LT
+        assert sq(2) < LengthExpr.rational(F(3, 2))
 
     def test_close_sums_resolved_exactly(self):
         # sqrt(10)+sqrt(18) = 7.4049... < sqrt(16)+sqrt(12) = 7.4641...
         lhs, rhs = sq(10) + sq(18), sq(16) + sq(12)
         assert expr_decimal(lhs) < expr_decimal(rhs)
-        assert lhs.compare(rhs) is Ordering.LT
+        assert lhs < rhs
 
     def test_multiplicatively_dependent_but_linearly_independent(self):
         # 2*sqrt(2) + sqrt(8) is 4*sqrt(2), not zero, even though flipping
@@ -63,24 +63,26 @@ class TestCompare:
     def test_reflexive_equality(self, rng):
         for _ in range(30):
             e = _random_expr(rng)
-            assert e.compare(e) is Ordering.EQ
+            assert e == e and e <= e and e >= e
+            assert not (e < e or e > e)
 
     def test_antisymmetry_and_decimal_agreement(self, rng):
         for _ in range(40):
             e1, e2 = _random_expr(rng), _random_expr(rng)
-            got = e1.compare(e2)
-            assert e2.compare(e1) is Ordering(-got.value)
+            lt, gt, eq = e1 < e2, e1 > e2, e1 == e2
+            assert (e2 > e1, e2 < e1, e2 == e1) == (lt, gt, eq)
+            assert lt + gt + eq == 1
             d1, d2 = expr_decimal(e1), expr_decimal(e2)
-            if got is Ordering.EQ:
+            if eq:
                 assert abs(d1 - d2) < Fraction(1, 10 ** 60)
             else:
-                assert (d1 < d2) == (got is Ordering.LT)
+                assert (d1 < d2) == lt
 
     def test_transitive_on_sorted_sample(self, rng):
         exprs = [_random_expr(rng) for _ in range(12)]
         exprs.sort(key=expr_decimal)
         for a, b in zip(exprs, exprs[1:]):
-            assert a.compare(b) is not Ordering.GT
+            assert a <= b
 
     def test_conjugate_norm_oracle_on_zero(self, rng):
         for _ in range(25):
@@ -97,6 +99,29 @@ class TestCompare:
             assert (expr_decimal(e) > 0) == (e.sign() > 0)
 
 
+class TestSum:
+    def test_empty_sum_is_zero(self):
+        assert LengthExpr.sum([]).terms == ()
+
+    def test_single_sum_keeps_terms(self, rng):
+        for _ in range(20):
+            e = _random_expr(rng)
+            assert LengthExpr.sum([e]).terms == e.terms
+
+    def test_matches_chained_addition(self, rng):
+        cancelled = 0
+        for _ in range(60):
+            exprs = [_random_expr(rng) for _ in range(rng.randint(0, 6))]
+            if exprs and rng.random() < 0.3:
+                exprs.append(-exprs[0])
+            chained = LengthExpr()
+            for e in exprs:
+                chained = chained + e
+            assert LengthExpr.sum(exprs) == chained
+            cancelled += len(exprs) > 1 and exprs[-1] == -exprs[0]
+        assert cancelled >= 5
+
+
 class TestHugeMagnitudes:
     """sqrt(n^2 + 1) - n is about 1/(2n): with n = 2^4200 its sign needs
     more than 4096 bits of precision."""
@@ -110,7 +135,7 @@ class TestHugeMagnitudes:
 
     def test_compare_tiny_gap(self):
         n = self.N
-        assert LengthExpr.sqrt(n * n + 1).compare(LengthExpr.rational(n)) is Ordering.GT
+        assert LengthExpr.sqrt(n * n + 1) > LengthExpr.rational(n)
 
     def test_refine_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (LengthExpr, Ordering, Point, RecursiveSplitSpec,
+from tritile import (LengthExpr, Point, RecursiveSplitSpec,
                      StretchClass, SideLabel, TilingPatch, Triangle,
                      TwoScaleSpec, apply_affine, build_incidence,
                      composite_sides, decompose_stretches, epsilon2, eq1_audit,
@@ -252,7 +252,7 @@ class TestEpsilon2:
         # sides sqrt(10) < 4 < sqrt(18): margin = sqrt(10) + 4 - sqrt(18)
         e = epsilon2(TilingPatch((Triangle(P(0, 0), P(4, 0), P(1, 3)),)))
         want = LengthExpr.sqrt(10) + LengthExpr.rational(4) - LengthExpr.sqrt(18)
-        assert e.compare(want) is Ordering.EQ
+        assert e == want
         assert e.decimal_str(3) == expr_decimal(want).quantize(
             __import__("decimal").Decimal("0.001")).__str__()
         assert e.decimal_str(3) == "2.920"
@@ -260,7 +260,7 @@ class TestEpsilon2:
     def test_isoceles_example(self):
         e = epsilon2(TilingPatch((Triangle(P(0, 0), P(2, 0), P(1, 1)),)))
         want = LengthExpr.sqrt(2, 2) - LengthExpr.rational(2)
-        assert e.compare(want) is Ordering.EQ
+        assert e == want
         assert e.decimal_str(3) == "0.828"
 
     def test_patch_minimum(self):
@@ -274,10 +274,27 @@ class TestEpsilon2:
         assert min(expr_decimal(m) for m in margins) == expr_decimal(e)
         assert e.sign() > 0
 
+    @pytest.mark.parametrize("order, want", [
+        ("AB", "-4 + sqrt(20)"), ("BA", "-4 + 2*sqrt(5)"), ("BAAB", "-4 + 2*sqrt(5)")])
+    def test_first_tile_wins_a_tie(self, order, want):
+        # squared sides 1, 20, 25 and 5, 5, 16: both margins are 2*sqrt(5) - 4
+        tiles = {"A": Triangle(P(0, 0), P(1, 0), P(3, 4)),
+                 "B": Triangle(P(0, 0), P(4, 0), P(2, 1))}
+        assert repr(epsilon2(TilingPatch(tuple(tiles[c] for c in order)))) == want
+
+    def test_one_margin_per_shape(self, monkeypatch):
+        # 216 tiles of two shapes: one exact comparison
+        patch = gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 6, 6))
+        calls = []
+        sign = LengthExpr.sign
+        monkeypatch.setattr(LengthExpr, "sign", lambda e: calls.append(e) or sign(e))
+        epsilon2(patch)
+        assert len(calls) <= 1
+
     def test_scaling_homogeneity(self):
         patch = fixtures.notched_split()
         scaled = apply_affine(patch, ((F(3), F(0)), (F(0), F(3))))
-        assert epsilon2(scaled).compare(epsilon2(patch) * 3) is Ordering.EQ
+        assert epsilon2(scaled) == epsilon2(patch) * 3
 
 
 class TestLabels:
@@ -304,7 +321,7 @@ class TestWAudit:
         audit = w_audit(g)
         assert audit.applicable
         assert audit.sigma_tight == 3 and audit.loose_total_size == 0
-        assert audit.w_definition.compare(audit.epsilon2 * -3) is Ordering.EQ
+        assert audit.w_definition == audit.epsilon2 * -3
         assert audit.record.ok
 
     @pytest.mark.parametrize("depth,t", [(2, F(2)), (4, F(3, 2)), (6, F(3))])
@@ -354,7 +371,7 @@ class TestWAudit:
         total = LengthExpr()
         for c in audit.contributions:
             total = total + c
-        assert total.compare(audit.w_definition) is Ordering.EQ
+        assert total == audit.w_definition
 
 
 class TestComposite:
