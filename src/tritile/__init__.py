@@ -10,7 +10,7 @@ from .model import (TilingParseError, TilingPatch, apply_affine, parse_tiling,
                     serialize_tiling, side_length_range)
 from .validate import (RegionError, ValidationReport, Violation, derive_region,
                        validate_patch)
-from .incidence import EdgeClass, IncidenceGraph, build_incidence, graph_audit
+from .incidence import IncidenceGraph, build_incidence, graph_audit
 from .stretches import (SideLabel, Stretch, StretchClass, WAudit,
                         composite_sides, decompose_stretches, epsilon2,
                         eq1_audit, neighbor_hops_to_composite,

@@ -82,7 +82,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     # unselected tiles; a component is a hole unless it reaches the
     # ambient boundary through an atomic edge
     adj = graph.adjacency
-    on_ambient_boundary = {e.incidences[0][0] for e in graph.boundary_edges}
+    on_ambient_boundary = {e.incidences[0].tile for e in graph.boundary_edges}
     unseen = set(range(graph.t)) - selected
     result = set(selected)
     while unseen:

@@ -3,30 +3,30 @@
 The central object is the *edge soup*: every triangle side is grouped by
 its supporting line (normalized rational coefficients), split at every
 vertex lying in its relative interior, and the resulting *atomic edges*
-carry the list of incident tile sides together with which geometric side
-of the line each tile occupies.  Splitting uses only endpoints of sides
-on the same line; in a valid tiling every vertex interior to a side is
-such an endpoint (the tiles opposite the side must terminate there), and
-for invalid input the soup still supports the validator's certificate.
+hold the soup's own records of the sides covering them, each with the
+geometric side of the line its tile occupies.  Splitting uses only
+endpoints of sides on the same line; in a valid tiling every vertex
+interior to a side is such an endpoint (the tiles opposite the side must
+terminate there), and for invalid input the soup still supports the
+validator's certificate.
 
-Each incidence fact has one owner.  :func:`build_soup` classes each
-atomic edge as it splits the sides (internal when shared, else full or
-partial boundary as its one side is unsplit or split) and records which
-sides each vertex subdivides.  :mod:`tritile.validate` certifies that
-the boundary edges form one simple counterclockwise cycle and derives
-the region from it.  The :class:`IncidenceGraph` wraps the validator's
-soup for a *valid* patch and adds only the boundary edges and their
-vertices; every count (v, e, v*, v_bd, e_full, e_part) is read from
-the soup or from those two.  It is built once per patch and caches what
-later layers derive from it (stretches, labels, eps2), so every audit
-takes just the graph.
+Each incidence fact has one owner.  :func:`build_soup` splits the sides
+and records which sides each vertex subdivides; it does not class the
+edges.  An edge is on the boundary iff one side covers it, and a boundary
+edge is full iff that side spans it, partial otherwise.
+:mod:`tritile.validate` certifies that the boundary edges form one simple
+counterclockwise cycle and derives the region from it.  The
+:class:`IncidenceGraph` wraps the validator's soup for a *valid* patch
+and adds only the boundary edges and their vertices; every count (v, e,
+v*, v_bd, e_full, e_part) is read from the soup or from those two.  It
+is built once per patch and caches what later layers derive from it
+(stretches, labels, eps2), so every audit takes just the graph.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -68,12 +68,6 @@ def line_pos(key: LineKey, p: Point) -> Fraction:
     return p.x
 
 
-class EdgeClass(Enum):
-    INTERNAL = "internal"
-    FULL_BOUNDARY = "full"
-    PARTIAL_BOUNDARY = "partial"
-
-
 @dataclass
 class SideRef:
     """One triangle side on its supporting line, endpoints in line order."""
@@ -94,13 +88,11 @@ class AtomicEdge:
     line: LineKey
     lo: Fraction
     hi: Fraction
-    incidences: list[tuple[int, int, int]]   # (tile, side index, sign)
-    # internal when shared, else full or partial as its sole side is unsplit or split
-    boundary_class: EdgeClass
+    incidences: list[SideRef]       # the sides covering it; one on the boundary
 
     @property
     def tiles(self) -> list[int]:
-        return [t for t, _, _ in self.incidences]
+        return [ref.tile for ref in self.incidences]
 
 
 @dataclass
@@ -156,15 +148,11 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
             for c in cuts:
                 vertex_subdivides.setdefault(pts[c], []).append((ref.tile, ref.index))
             seq = [ref.lo, *cuts, ref.hi]
-            klass = EdgeClass.PARTIAL_BOUNDARY if cuts else EdgeClass.FULL_BOUNDARY
             for u, w in zip(seq, seq[1:]):
                 edge = edge_map.get((u, w))
                 if edge is None:
-                    edge = AtomicEdge(pts[u], pts[w], key, u, w, [], klass)
-                    edge_map[(u, w)] = edge
-                else:
-                    edge.boundary_class = EdgeClass.INTERNAL
-                edge.incidences.append((ref.tile, ref.index, ref.sign))
+                    edge = edge_map[(u, w)] = AtomicEdge(pts[u], pts[w], key, u, w, [])
+                edge.incidences.append(ref)
         grp.edges = [edge_map[k] for k in sorted(edge_map)]
         all_edges.extend(grp.edges)
 
@@ -220,8 +208,9 @@ class IncidenceGraph:
 
     @cached_property
     def e_full(self) -> int:
+        """Boundary edges that their one side spans whole."""
         return sum(1 for e in self.boundary_edges
-                   if e.boundary_class is EdgeClass.FULL_BOUNDARY)
+                   if (e.incidences[0].lo, e.incidences[0].hi) == (e.lo, e.hi))
 
     @property
     def e_part(self) -> int:
@@ -234,7 +223,7 @@ class IncidenceGraph:
             raise ValueError(
                 "invalid patch: " + "; ".join(v.describe() for v in report.violations))
         soup = report.soup
-        boundary = [e for e in soup.edges if e.boundary_class is not EdgeClass.INTERNAL]
+        boundary = [e for e in soup.edges if len(e.incidences) == 1]
         boundary_pts = {p for e in boundary for p in (e.a, e.b)}
         return cls(patch, soup, report.derived_region, boundary, boundary_pts)
 
@@ -244,7 +233,7 @@ class IncidenceGraph:
         adj: dict[int, set[int]] = {i: set() for i in range(self.t)}
         for edge in self.soup.edges:
             if len(edge.incidences) == 2:
-                (t1, _, _), (t2, _, _) = edge.incidences
+                t1, t2 = edge.tiles
                 adj[t1].add(t2)
                 adj[t2].add(t1)
         return adj

@@ -3,11 +3,13 @@
 A *stretch* is a minimal collinear segment that the tiling decomposes
 into sides (and, along a ragged boundary, partial boundary edges) in two
 different ways: one decomposition from each geometric side of the
-supporting line.  Decomposition works per line: the two decks of items
-covering a collinear run are cut at every position where both decks have
-an item endpoint simultaneously.  A piece whose two decks are the same
-single segment is not a stretch; it is either a side shared by two tiles
-or a full boundary side.
+supporting line.  Decomposition is one walk per line over its atomic
+edges, in position order.  Each edge adds to the deck above and the deck
+below the item covering it there, if that item is new: a tile side, or a
+boundary marker spanning just the edge where one side covers it.  A
+piece closes where both decks' items end at the same edge.  A piece whose
+two decks are the same single segment is not a stretch; it is either a
+side shared by two tiles or a full boundary side.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import Point, cross, sq_dist
-from .incidence import EdgeClass, IncidenceGraph, LineKey
+from .incidence import AtomicEdge, IncidenceGraph, LineKey
 from .model import TilingPatch
 from .radicals import LengthExpr
 from .report import AuditRecord
@@ -90,18 +92,13 @@ class Stretch:
                 f"class={self.klass.value} decks=[{above}]/[{below}]")
 
 
-def _line_items(grp) -> list[DeckItem]:
-    """Side items plus boundary markers, tagged by deck via sign."""
-    items: list[tuple[int, DeckItem]] = []
-    for ref in grp.sides:
-        items.append((ref.sign, DeckItem(ref.lo, ref.hi, (ref.tile, ref.index),
-                                         ref.a, ref.b)))
-    for edge in grp.edges:
-        if edge.boundary_class is not EdgeClass.INTERNAL:
-            # the outside decomposes the run at atomic-edge granularity
-            _, _, sgn = edge.incidences[0]
-            items.append((-sgn, DeckItem(edge.lo, edge.hi, None, edge.a, edge.b)))
-    return items
+def _deck_item(edge: AtomicEdge, sign: int) -> DeckItem:
+    """The item over `edge` on the `sign` side of its line: the tile side
+    there, or a boundary marker spanning just the edge."""
+    for ref in edge.incidences:
+        if ref.sign == sign:
+            return DeckItem(ref.lo, ref.hi, (ref.tile, ref.index), ref.a, ref.b)
+    return DeckItem(edge.lo, edge.hi, None, edge.a, edge.b)
 
 
 def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[int, int, tuple[Point, Point]]]]:
@@ -111,64 +108,34 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
     shared: list[tuple[int, int, tuple[Point, Point]]] = []
 
     for key in sorted(g.soup.lines):
-        grp = g.soup.lines[key]
-        tagged = _line_items(grp)
-        tagged.sort(key=lambda it: (it[1].lo, it[1].hi))
-
-        # connected runs of the covered part of the line
-        runs: list[list[tuple[int, DeckItem]]] = []
-        run_hi: Fraction | None = None
-        for sgn, item in tagged:
-            if run_hi is None or item.lo > run_hi:
-                runs.append([])
-                run_hi = item.hi
+        above: list[DeckItem] = []
+        below: list[DeckItem] = []
+        for edge in g.soup.lines[key].edges:
+            for deck, sign in ((above, 1), (below, -1)):
+                if not deck or deck[-1].hi == edge.lo:
+                    deck.append(_deck_item(edge, sign))
+            if above[-1].hi != edge.hi or below[-1].hi != edge.hi:
+                continue
+            # both decks break here: the piece since the last break is done
+            pa, pb = tuple(above), tuple(below)
+            above.clear()
+            below.clear()
+            if len(pa) == 1 and len(pb) == 1:
+                # identical decompositions: shared side or full boundary side
+                if pa[0].is_side and pb[0].is_side:
+                    t1, t2 = pa[0].side[0], pb[0].side[0]
+                    shared.append((min(t1, t2), max(t1, t2), (pa[0].a, pa[0].b)))
+                continue
+            n_sides = sum(1 for i in pa + pb if i.is_side)
+            if n_sides < len(pa) + len(pb):
+                klass = StretchClass.IMPROPER
+            elif n_sides == 3:
+                klass = StretchClass.TIGHT
             else:
-                run_hi = max(run_hi, item.hi)
-            runs[-1].append((sgn, item))
+                klass = StretchClass.LOOSE_PROPER
+            stretches.append(Stretch(key, pa[0].a, pa[-1].b, pa, pb, n_sides, klass))
 
-        for run in runs:
-            above = sorted((it for s, it in run if s > 0), key=lambda i: i.lo)
-            below = sorted((it for s, it in run if s < 0), key=lambda i: i.lo)
-            lo = min(above[0].lo, below[0].lo)
-            hi = max(above[-1].hi, below[-1].hi)
-            cuts_a = {x for it in above for x in (it.lo, it.hi) if lo < x < hi}
-            cuts_b = {x for it in below for x in (it.lo, it.hi) if lo < x < hi}
-            bounds = [lo, *sorted(cuts_a & cuts_b), hi]
-
-            ia = ib = 0
-            for plo, phi in zip(bounds, bounds[1:]):
-                pa: list[DeckItem] = []
-                pb: list[DeckItem] = []
-                while ia < len(above) and above[ia].lo < phi:
-                    assert above[ia].hi <= phi, "deck item crosses a joint cut"
-                    pa.append(above[ia])
-                    ia += 1
-                while ib < len(below) and below[ib].lo < phi:
-                    assert below[ib].hi <= phi, "deck item crosses a joint cut"
-                    pb.append(below[ib])
-                    ib += 1
-                assert pa and pb, "one-sided piece in a validated patch"
-                if len(pa) == 1 and len(pb) == 1:
-                    # identical decompositions: shared side or full boundary side
-                    if pa[0].is_side and pb[0].is_side:
-                        t1, t2 = pa[0].side[0], pb[0].side[0]
-                        pair = (min(t1, t2), max(t1, t2))
-                        shared.append((pair[0], pair[1], (pa[0].a, pa[0].b)))
-                    continue
-                n_sides = sum(1 for i in pa + pb if i.is_side)
-                improper = any(not i.is_side for i in pa + pb)
-                if improper:
-                    klass = StretchClass.IMPROPER
-                elif n_sides == 3:
-                    klass = StretchClass.TIGHT
-                else:
-                    klass = StretchClass.LOOSE_PROPER
-                a_pt = pa[0].a if pa[0].lo == plo else pb[0].a
-                b_pt = pa[-1].b if pa[-1].hi == phi else pb[-1].b
-                stretches.append(Stretch(key, a_pt, b_pt, tuple(pa), tuple(pb),
-                                         n_sides, klass))
-
-    return stretches, sorted(set(shared), key=lambda s: (s[0], s[1]))
+    return stretches, sorted(shared, key=lambda s: (s[0], s[1]))
 
 
 def shared_side_pairs(g: IncidenceGraph) -> list[tuple[int, int, tuple[Point, Point]]]:

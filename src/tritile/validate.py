@@ -167,7 +167,7 @@ def _simplicity_faults(segments: list[tuple[Point, Point]]
 def _directed_boundary(edge: AtomicEdge) -> tuple[Point, Point]:
     """Orient a boundary edge so its unique tile lies on the left."""
     a, b, key = edge.a, edge.b, edge.line
-    _, _, sgn = edge.incidences[0]
+    sgn = edge.incidences[0].sign
     d = b - a
     left_normal_dot = -d.y * key[0] + d.x * key[1]
     return (a, b) if (sgn > 0) == (left_normal_dot > 0) else (b, a)
@@ -279,7 +279,7 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                 OVERLAP, tuple(sorted(edge.tiles)),
                 f"{n} sides stacked on edge {edge.a}-{edge.b}"))
         elif n == 2:
-            if edge.incidences[0][2] == edge.incidences[1][2]:
+            if edge.incidences[0].sign == edge.incidences[1].sign:
                 violations.append(Violation(
                     OVERLAP, tuple(sorted(edge.tiles)),
                     f"tiles on the same side of edge {edge.a}-{edge.b}"))

@@ -234,8 +234,8 @@ def test_criterion_7_two_scale_patch():
     comp = composite_sides(g)
     comp_keys = {(tile, idx) for tile, idx, _ in comp}
     covers = {(tile, idx): cover for tile, idx, cover in comp}
-    boundary_sides = {(t, s) for e in g.soup.edges if len(e.incidences) == 1
-                      for t, s, _ in e.incidences}
+    boundary_sides = {(r.tile, r.index) for e in g.soup.edges if len(e.incidences) == 1
+                      for r in e.incidences}
     up_sq = patch.tiles[0].squared_sides()
     n_interior_bases = 0
     for i, tile in enumerate(patch.tiles):

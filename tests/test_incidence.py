@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (EdgeClass, Point, RecursiveSplitSpec, TilingPatch,
-                     Triangle, apply_affine, build_incidence,
-                     gen_recursive_split, graph_audit, parse_tiling,
-                     point_on_segment_interior)
+from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
+                     apply_affine, build_incidence, gen_recursive_split,
+                     graph_audit, parse_tiling, point_on_segment_interior)
 
 import fixtures
 
@@ -62,18 +61,48 @@ def recount_vertices(patch: TilingPatch, region) -> tuple[int, int, int, int, in
             max(subdivided.values()))
 
 
+def recount_boundary_edges(patch: TilingPatch, region) -> tuple[list, list]:
+    """Independent e_full/e_part oracle: cut every tile side at the
+    vertices strictly inside it and keep the pieces whose midpoint lies on
+    an edge of the region polygon.  Returns (full, partial): the boundary
+    sides with no cut, and the boundary pieces of cut sides, each piece as
+    a pair of points in `Point.key` order."""
+    vertices = {p for t in patch.tiles for p in t.vertices}
+    edges = list(zip(region, region[1:] + region[:1]))
+    full, part = [], []
+    for t in patch.tiles:
+        for a, b in t.sides():
+            d = b - a
+            cuts = sorted((p for p in vertices if _strictly_inside(a, b, p)),
+                          key=lambda p: (p.x - a.x) * d.x + (p.y - a.y) * d.y)
+            seq = [a, *cuts, b]
+            for u, w in zip(seq, seq[1:]):
+                mid = (u + w).scale(F(1, 2))
+                if any(_strictly_inside(p, q, mid) for p, q in edges):
+                    (part if cuts else full).append(tuple(sorted((u, w), key=Point.key)))
+    return full, part
+
+
+def _brute_force_corpus() -> list[TilingPatch]:
+    from test_random_patches import random_refined_patch
+    corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
+              fixtures.notched_split(), fixtures.offset_quad()]
+    corpus += [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
+               for name in ("twoscale-2", "recursive-4", "convex-6")]
+    corpus += [random_refined_patch(seed) for seed in range(50)]
+    return corpus
+
+
 class TestCounts:
     def test_single_triangle(self):
         g = build_incidence(TilingPatch((Triangle(P(0, 0), P(1, 0), P(0, 1)),)))
         assert (g.v, g.e, g.t) == (3, 3, 1)
-        assert all(e.boundary_class is EdgeClass.FULL_BOUNDARY
-                   for e in g.soup.edges)
+        assert (g.e_full, g.e_part) == (3, 0)
 
     def test_square_diag(self):
         g = build_incidence(fixtures.square_diag())
         assert (g.v, g.e, g.t) == (4, 5, 2)
-        classes = sorted(e.boundary_class.value for e in g.soup.edges)
-        assert classes == ["full"] * 4 + ["internal"]
+        assert (g.e_full, g.e_part) == (4, 0)
 
     def test_depth1_recursive(self):
         patch = gen_recursive_split(RecursiveSplitSpec(
@@ -90,11 +119,11 @@ class TestCounts:
         assert g.v_star_int == 3
 
     def test_rect_l_shape(self):
-        g = build_incidence(fixtures.rect_l_shape())
+        patch = fixtures.rect_l_shape()
+        g = build_incidence(patch)
         assert g.e_part == 1
-        part = [e for e in g.soup.edges
-                if e.boundary_class is EdgeClass.PARTIAL_BOUNDARY]
-        assert [(e.a, e.b) for e in part] == [(P(1, 1), P(2, 1))]
+        _, part = recount_boundary_edges(patch, patch.region)
+        assert part == [(P(1, 1), P(2, 1))]
 
     def test_invalid_patch_rejected(self):
         with pytest.raises(ValueError, match="invalid patch"):
@@ -150,17 +179,17 @@ class TestOracles:
         assert build_incidence(patch).e == recount_edges(patch)
 
     def test_vertex_counts_match_brute_force(self):
-        from test_random_patches import random_refined_patch
-        corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
-                  fixtures.notched_split(), fixtures.offset_quad()]
-        corpus += [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
-                   for name in ("twoscale-2", "recursive-4", "convex-6")]
-        corpus += [random_refined_patch(seed) for seed in range(50)]
-        for patch in corpus:
+        for patch in _brute_force_corpus():
             g = build_incidence(patch)
             worst = graph_audit(g).get("subdivides_at_most_one_side").value.split()[0]
             got = (g.v, g.v_bd, g.v_star, g.v_star_int, int(worst))
             assert got == recount_vertices(patch, patch.region or g.region)
+
+    def test_boundary_edge_counts_match_brute_force(self):
+        for patch in _brute_force_corpus():
+            g = build_incidence(patch)
+            full, part = recount_boundary_edges(patch, patch.region or g.region)
+            assert (g.e_full, g.e_part) == (len(full), len(part))
 
     def test_atomicity(self):
         # no vertex lies in the relative interior of an atomic edge

@@ -1,13 +1,19 @@
-"""Metamorphic tests of the audits: a tile permutation or a uniform
-similarity changes the input but no audit's verdict."""
+"""Metamorphic tests of the audits: a tile permutation, a uniform
+similarity, an isometry or a TILING/1 round trip changes the input but no
+audit's verdict."""
 
 import random
+import re
 from fractions import Fraction
 
+import pytest
+
 from tritile import (Point, RecursiveSplitSpec, TilingPatch, TwoScaleSpec,
-                     apply_affine, asymptotic_audit, build_incidence, epsilon2,
-                     eq1_audit, gen_recursive_split, gen_two_scale_periodic,
-                     graph_audit, no_shared_side_conditions, w_audit)
+                     apply_affine, asymptotic_audit, build_incidence,
+                     decompose_stretches, epsilon2, eq1_audit,
+                     gen_recursive_split, gen_two_scale_periodic, graph_audit,
+                     no_shared_side_conditions, parse_tiling, serialize_tiling,
+                     w_audit)
 from tritile.report import Status
 
 import fixtures
@@ -16,6 +22,13 @@ from test_random_patches import random_refined_patch
 F = Fraction
 P = Point.of
 SCALE_3 = ((F(3), F(0)), (F(0), F(3)))
+#: isometries with rational entries; the quarter turn makes horizontal lines vertical
+ISOMETRIES = {
+    "quarter-turn": ((F(0), F(-1)), (F(1), F(0))),
+    "rotation-3-4-5": ((F(3, 5), F(-4, 5)), (F(4, 5), F(3, 5))),
+    "reflection": ((F(1), F(0)), (F(0), F(-1))),
+}
+INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _corpus():
@@ -30,12 +43,29 @@ def _corpus():
     return patches
 
 
+def _records(patch: TilingPatch):
+    """The records `tritile audit` prints."""
+    g = build_incidence(patch)
+    return [graph_audit(g), eq1_audit(g), no_shared_side_conditions(g),
+            w_audit(g).record, asymptotic_audit(patch, [])]
+
+
 def _statuses(patch: TilingPatch) -> list[tuple[str, str, Status]]:
     """(record, entry, status) of every entry `tritile audit` prints."""
-    g = build_incidence(patch)
-    records = [graph_audit(g), eq1_audit(g), no_shared_side_conditions(g),
-               w_audit(g).record, asymptotic_audit(patch, [])]
-    return [(rec.title, e.name, e.status) for rec in records for e in rec.entries]
+    return [(rec.title, e.name, e.status) for rec in _records(patch) for e in rec.entries]
+
+
+def _verdicts(patch: TilingPatch) -> list[tuple[str, str, Status, str | None]]:
+    """Every entry's status, with the value of each integer-valued info entry."""
+    return [(rec.title, e.name, e.status,
+             e.value if e.status is Status.INFO and INTEGER.fullmatch(e.value) else None)
+            for rec in _records(patch) for e in rec.entries]
+
+
+def _stretch_profile(patch: TilingPatch) -> list[tuple[str, int]]:
+    """The multiset of (class, size) over the stretches."""
+    stretches, _ = decompose_stretches(build_incidence(patch))
+    return sorted((s.klass.value, s.size) for s in stretches)
 
 
 def _permuted(patch: TilingPatch, rng: random.Random) -> TilingPatch:
@@ -60,3 +90,15 @@ def test_audits_keep_their_verdicts_under_permutation_and_scaling():
         w_passes += ("w-audit", "w_routes_agree", Status.PASS) in want
     # the share-free recursive and two-scale patches, where W applies
     assert w_passes >= 7
+
+
+@pytest.mark.parametrize("move", [*ISOMETRIES, "round-trip"])
+def test_isometries_and_round_trip_keep_verdicts_eps2_and_stretches(move):
+    for patch in _corpus():
+        if move == "round-trip":
+            moved = parse_tiling(serialize_tiling(patch))
+        else:
+            moved = apply_affine(patch, ISOMETRIES[move])
+        assert _verdicts(moved) == _verdicts(patch)
+        assert epsilon2(moved) == epsilon2(patch)
+        assert _stretch_profile(moved) == _stretch_profile(patch)

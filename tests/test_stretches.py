@@ -4,15 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (LengthExpr, Point, RecursiveSplitSpec,
+from tritile import (LengthExpr, Point, RecursiveSplitSpec, Stretch,
                      StretchClass, SideLabel, TilingPatch, Triangle,
                      TwoScaleSpec, apply_affine, build_incidence,
-                     composite_sides, decompose_stretches, epsilon2, eq1_audit,
+                     composite_sides, convex_polygon_on_circle,
+                     decompose_stretches, epsilon2, eq1_audit,
                      extract_disk_patch, gen_convex_triangulation, gen_recursive_split,
                      gen_two_scale_periodic, neighbor_hops_to_composite,
                      no_shared_side_conditions, parse_tiling, shared_side_pairs,
                      side_labels, w_audit)
 from tritile.report import Status
+from tritile.stretches import DeckItem
 
 import fixtures
 from conftest import expr_decimal
@@ -74,8 +76,91 @@ def brute_force_composite_sides(g):
     return sorted(result)
 
 
+def joint_cut_decomposition(g):
+    """Joint-cut oracle for decompose_stretches.  Per line, the tile sides
+    and a boundary marker for each atomic edge with one side are merged
+    into connected runs; each run is split into its above and below decks
+    and cut where both decks have an item endpoint."""
+    stretches, shared = [], []
+    for key in sorted(g.soup.lines):
+        grp = g.soup.lines[key]
+        tagged = [(ref.sign, DeckItem(ref.lo, ref.hi, (ref.tile, ref.index), ref.a, ref.b))
+                  for ref in grp.sides]
+        tagged += [(-e.incidences[0].sign, DeckItem(e.lo, e.hi, None, e.a, e.b))
+                   for e in grp.edges if len(e.incidences) == 1]
+        tagged.sort(key=lambda it: (it[1].lo, it[1].hi))
+
+        runs, run_hi = [], None
+        for sgn, item in tagged:
+            if run_hi is None or item.lo > run_hi:
+                runs.append([])
+                run_hi = item.hi
+            else:
+                run_hi = max(run_hi, item.hi)
+            runs[-1].append((sgn, item))
+
+        for run in runs:
+            above = sorted((it for s, it in run if s > 0), key=lambda i: i.lo)
+            below = sorted((it for s, it in run if s < 0), key=lambda i: i.lo)
+            lo = min(above[0].lo, below[0].lo)
+            hi = max(above[-1].hi, below[-1].hi)
+            cuts_a = {x for it in above for x in (it.lo, it.hi) if lo < x < hi}
+            cuts_b = {x for it in below for x in (it.lo, it.hi) if lo < x < hi}
+            bounds = [lo, *sorted(cuts_a & cuts_b), hi]
+            ia = ib = 0
+            for plo, phi in zip(bounds, bounds[1:]):
+                pa, pb = [], []
+                while ia < len(above) and above[ia].lo < phi:
+                    assert above[ia].hi <= phi, "deck item crosses a joint cut"
+                    pa.append(above[ia])
+                    ia += 1
+                while ib < len(below) and below[ib].lo < phi:
+                    assert below[ib].hi <= phi, "deck item crosses a joint cut"
+                    pb.append(below[ib])
+                    ib += 1
+                assert pa and pb, "one-sided piece in a valid patch"
+                if len(pa) == 1 and len(pb) == 1:
+                    if pa[0].is_side and pb[0].is_side:
+                        t1, t2 = pa[0].side[0], pb[0].side[0]
+                        shared.append((min(t1, t2), max(t1, t2), (pa[0].a, pa[0].b)))
+                    continue
+                n_sides = sum(1 for i in pa + pb if i.is_side)
+                if any(not i.is_side for i in pa + pb):
+                    klass = StretchClass.IMPROPER
+                elif n_sides == 3:
+                    klass = StretchClass.TIGHT
+                else:
+                    klass = StretchClass.LOOSE_PROPER
+                a_pt = pa[0].a if pa[0].lo == plo else pb[0].a
+                b_pt = pa[-1].b if pa[-1].hi == phi else pb[-1].b
+                stretches.append(Stretch(key, a_pt, b_pt, tuple(pa), tuple(pb),
+                                         n_sides, klass))
+    return stretches, sorted(set(shared), key=lambda s: (s[0], s[1]))
+
+
 def recursive(depth, t=F(2), base=(P(0, 0), P(1, 0), P(0, 1))):
     return gen_recursive_split(RecursiveSplitSpec(base, t, depth))
+
+
+def random_patches(seeds):
+    from test_random_patches import random_refined_patch  # imports this module
+    return [random_refined_patch(seed) for seed in seeds]
+
+
+QUARTER_TURN = ((F(0), F(-1)), (F(1), F(0)))
+
+#: family -> the patches the walk is checked on against the joint-cut oracle
+ORACLE_CORPUS = {
+    "fixtures": lambda: [fixtures.square_diag(), fixtures.rect_l_shape(),
+                         fixtures.notched_split(), fixtures.offset_quad()],
+    "recursive": lambda: [recursive(depth) for depth in range(1, 7)],
+    "twoscale": lambda: [gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), m, n))
+                         for m, n in ((1, 1), (2, 3), (3, 2))],
+    "convex": lambda: [gen_convex_triangulation(convex_polygon_on_circle(k, seed),
+                                                "random", seed)
+                       for k in range(4, 9) for seed in (1, 2, 3)],
+    "random": lambda: random_patches(range(20)),
+}
 
 
 class TestDecompose:
@@ -150,6 +235,20 @@ class TestDecompose:
             assert len(seen) == 3 * g.t - g.e_full - 2 * len(shared)
 
 
+class TestJointCutOracle:
+    @pytest.mark.parametrize("family", sorted(ORACLE_CORPUS))
+    def test_walk_matches_joint_cuts(self, family):
+        rng = random.Random(family)
+        for patch in ORACLE_CORPUS[family]():
+            tiles = list(patch.tiles)
+            rng.shuffle(tiles)
+            permuted = TilingPatch(tuple(tiles), patch.region, patch.metadata)
+            for variant in (patch, permuted, apply_affine(patch, QUARTER_TURN)):
+                g = build_incidence(variant)
+                # stretches and shared sides, both in order
+                assert decompose_stretches(g) == joint_cut_decomposition(g)
+
+
 class TestSharedSides:
     def test_square_diag_pair(self):
         g = build_incidence(fixtures.square_diag())
@@ -166,7 +265,6 @@ class TestSharedSides:
         corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
                   fixtures.notched_split(), recursive(3),
                   gen_two_scale_periodic(TwoScaleSpec(F(1), F(2), 2, 2))]
-        from tritile import convex_polygon_on_circle
         for seed in range(5):
             corpus.append(gen_convex_triangulation(
                 convex_polygon_on_circle(6, seed), "random", seed))
@@ -176,7 +274,6 @@ class TestSharedSides:
             assert got == brute_force_shared(patch)
 
     def test_decomposition_agrees_with_direct_search(self):
-        from tritile import convex_polygon_on_circle
         corpus = [fixtures.square_diag(), fixtures.rect_l_shape(),
                   fixtures.notched_split(), recursive(3)]
         for seed in range(10):
