@@ -1,8 +1,9 @@
 """Command-line frontend: generate, validate, audit, inspect and render
 tilings in the TILING/1 format.
 
-Exit codes: 0 success, 1 failed checks or bad input data, 2 usage error,
-3 internal error (a bug: one line on stderr, no traceback).
+Exit codes: 0 success, 1 failed checks or bad input data (an option too
+large to compute with included), 2 usage error, 3 internal error (a bug:
+one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TilingParseError, GeneratorError, ValueError, OSError) as exc:
+    except (TilingParseError, GeneratorError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug: report it in one line, not a traceback

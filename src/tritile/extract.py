@@ -4,6 +4,12 @@ accounting audit on the extracted piece.
 The disk is given by its squared radius so the open-disk intersection
 predicate stays a rational comparison; the radius itself never needs to
 materialize.
+
+Each step reads the ambient incidence graph: the holes are the tiles the
+ambient boundary cannot reach through unselected tiles (one search over
+``adjacency``), the ring is the tiles that share a vertex with the piece
+(``incident_tiles``), and connectivity is decided by the piece's own
+validation.
 """
 
 from __future__ import annotations
@@ -51,73 +57,45 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     """Add every ambient tile lying in a bounded complementary component
     of the selected union; the result is simply connected.
 
-    The selected union must be connected (single-point contact counts).
-    The piece comes back without a region, validated once (RegionError
-    if the union is not simple); ``build_incidence(piece)`` reuses that
-    report, and its ``region`` is the piece's boundary.
+    A tile stays out of the piece when the ambient boundary reaches it
+    through unselected tiles sharing a side; every other tile is in.  The
+    piece comes back without a region, validated once, and that is the
+    only connectivity check: RegionError (a ValueError) unless the piece
+    is one simple polygon, with kind DISCONNECTED when it falls apart into
+    simple parts and NOT_SIMPLE when it is pinched.
+    ``build_incidence(piece)`` reuses the report, and its ``region`` is
+    the piece's boundary.
     """
     if not selected:
         raise ValueError("empty selection")
     if not selected <= set(range(len(ambient.tiles))):
         raise ValueError("selection is not a subset of the ambient patch")
     graph = build_incidence(ambient)
-
-    touch: dict[int, set[int]] = {i: set() for i in range(graph.t)}
-    for tiles in graph.incident_tiles.values():
-        for a in tiles:
-            touch[a].update(tiles)
-
-    seen = {min(selected)}
-    frontier = [min(selected)]
-    while frontier:
-        u = frontier.pop()
-        for w in touch[u]:
-            if w in selected and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if seen != selected:
-        raise ValueError("selected tiles are not connected")
-
-    # complementary components of the selection, by edge adjacency among
-    # unselected tiles; a component is a hole unless it reaches the
-    # ambient boundary through an atomic edge
     adj = graph.adjacency
-    on_ambient_boundary = {e.incidences[0].tile for e in graph.boundary_edges}
-    unseen = set(range(graph.t)) - selected
-    result = set(selected)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in unseen and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
-        if not comp & on_ambient_boundary:
-            result |= comp
-
-    piece = TilingPatch(tuple(ambient.tiles[i] for i in sorted(result)), None, ambient.metadata)
+    outside = {e.incidences[0].tile for e in graph.boundary_edges} - selected
+    stack = list(outside)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in selected and w not in outside:
+                outside.add(w)
+                stack.append(w)
+    piece = TilingPatch(tuple(t for i, t in enumerate(ambient.tiles) if i not in outside),
+                        None, ambient.metadata)
     derive_region(piece)  # validates the piece once; RegionError if not simple
     return piece
 
 
 def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
-    """Ambient tiles outside the patch whose closure touches its boundary
-    (vertex contact included)."""
+    """Ambient tiles outside the patch that share a vertex with it (corner
+    or mid-side), which in a tiling is every tile whose closure touches it."""
     graph = build_incidence(ambient)
     index = {t: i for i, t in enumerate(ambient.tiles)}
     try:
         inside = {index[t] for t in patch.tiles}
     except KeyError:
         raise ValueError("patch is not a tile subset of the ambient patch")
-
-    # the patch's boundary: the ambient edges with exactly one tile inside it
-    boundary_pts = {p for e in graph.soup.edges if sum(t in inside for t in e.tiles) == 1
-                    for p in (e.a, e.b)}
-    ring = {t for p in boundary_pts for t in graph.incident_tiles.get(p, ())} - inside
+    ring = {t for tiles in graph.incident_tiles.values() if not tiles.isdisjoint(inside)
+            for t in tiles} - inside
     return sorted(ring)
 
 

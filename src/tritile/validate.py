@@ -173,32 +173,25 @@ def _directed_boundary(edge: AtomicEdge) -> tuple[Point, Point]:
     return (a, b) if (sgn > 0) == (left_normal_dot > 0) else (b, a)
 
 
-@dataclass
-class _BoundaryWalk:
-    cycles: list[list[Point]] = field(default_factory=list)
-    problems: list[Violation] = field(default_factory=list)
-
-
-def _walk_boundary(boundary: list[AtomicEdge]) -> _BoundaryWalk:
-    walk = _BoundaryWalk()
+def _walk_boundary(boundary: list[AtomicEdge]) -> tuple[list[list[Point]], list[Violation]]:
+    """The boundary cycles, or none and a NOT_SIMPLE violation for each
+    vertex without exactly one boundary edge in and one out."""
     out_map: dict[Point, list[Point]] = {}
     in_count: dict[Point, int] = {}
     for edge in boundary:
         a, b = _directed_boundary(edge)
         out_map.setdefault(a, []).append(b)
         in_count[b] = in_count.get(b, 0) + 1
-        in_count.setdefault(a, in_count.get(a, 0))
         out_map.setdefault(b, [])
 
-    for p in sorted(out_map, key=Point.key):
-        if len(out_map[p]) != 1 or in_count.get(p, 0) != 1:
-            walk.problems.append(Violation(
-                NOT_SIMPLE, (),
-                f"boundary pinched at {p} (out={len(out_map[p])}, in={in_count.get(p, 0)})"))
+    pinched = [Violation(NOT_SIMPLE, (),
+                         f"boundary pinched at {p} (out={len(out_map[p])}, in={in_count.get(p, 0)})")
+               for p in sorted(out_map, key=Point.key)
+               if len(out_map[p]) != 1 or in_count.get(p, 0) != 1]
+    if pinched:
+        return [], pinched
 
-    if walk.problems:
-        return walk
-
+    cycles: list[list[Point]] = []
     visited: set[Point] = set()
     for start in sorted(out_map, key=Point.key):
         if start in visited:
@@ -210,8 +203,8 @@ def _walk_boundary(boundary: list[AtomicEdge]) -> _BoundaryWalk:
             cyc.append(cur)
             visited.add(cur)
             cur = out_map[cur][0]
-        walk.cycles.append(cyc)
-    return walk
+        cycles.append(cyc)
+    return cycles, []
 
 
 def _check_region_polygon(region: tuple[Point, ...]) -> list[Violation]:
@@ -233,8 +226,9 @@ def _check_region_polygon(region: tuple[Point, ...]) -> list[Violation]:
 
 
 def _region_line_spans(region: tuple[Point, ...]):
-    """Merged per-line intervals covered by the region boundary (collinear
-    consecutive sides fuse into one span)."""
+    """Per-line intervals of the sides of a canonical region: collinear
+    neighbours are fused, and non-adjacent sides of a simple polygon never
+    touch, so each boundary edge lies inside one interval or none."""
     spans: dict = {}
     n = len(region)
     for i in range(n):
@@ -242,15 +236,6 @@ def _region_line_spans(region: tuple[Point, ...]):
         key = line_through(a, b)
         ka, kb = line_pos(key, a), line_pos(key, b)
         spans.setdefault(key, []).append((min(ka, kb), max(ka, kb)))
-    for key, intervals in spans.items():
-        intervals.sort()
-        merged = [intervals[0]]
-        for lo, hi in intervals[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        spans[key] = merged
     return spans
 
 
@@ -260,17 +245,17 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
     if not patch.tiles:
         return ValidationReport(False, [Violation(EMPTY, (), "patch has no tiles")], None)
 
-    region = patch.region
-    region_ok = True
-    if region is not None:
-        region_problems = _check_region_polygon(region)
-        if region_problems:
-            violations.extend(region_problems)
-            region_ok = False
+    # the stated region in canonical form, if it is a valid polygon
+    canonical: tuple[Point, ...] | None = None
+    if patch.region is not None:
+        region_problems = _check_region_polygon(patch.region)
+        violations.extend(region_problems)
+        if not region_problems:
+            canonical = canonical_polygon(patch.region)
 
     soup = build_soup(patch.tiles)
 
-    region_spans = _region_line_spans(region) if region is not None and region_ok else None
+    region_spans = _region_line_spans(canonical) if canonical is not None else None
     boundary: list[AtomicEdge] = []
     for edge in soup.edges:
         n = len(edge.incidences)
@@ -293,21 +278,21 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                         UNMATCHED_EDGE, tuple(edge.tiles),
                         f"edge {edge.a}-{edge.b} borders one tile off the region boundary"))
 
-    walk = _walk_boundary(boundary)
-    violations.extend(walk.problems)
+    cycles, pinched = _walk_boundary(boundary)
+    violations.extend(pinched)
     geometric: list[Violation] = []
-    if not walk.problems:
+    if not pinched:
         geometric = _geometric_boundary_checks(boundary)
         violations.extend(geometric)
 
     derived: tuple[Point, ...] | None = None
-    if not walk.problems and not geometric and walk.cycles:
-        areas = [polygon_area(tuple(c)) for c in walk.cycles]
-        if len(walk.cycles) == 1:
-            derived = canonical_polygon(tuple(walk.cycles[0]))
+    if not pinched and not geometric and cycles:
+        areas = [polygon_area(tuple(c)) for c in cycles]
+        if len(cycles) == 1:
+            derived = canonical_polygon(tuple(cycles[0]))
         else:
-            positive = [c for c, ar in zip(walk.cycles, areas) if ar > 0]
-            for c, ar in zip(walk.cycles, areas):
+            positive = [c for c, ar in zip(cycles, areas) if ar > 0]
+            for c, ar in zip(cycles, areas):
                 if ar <= 0:
                     violations.append(Violation(
                         HOLE, (), f"interior boundary cycle through {c[0]}"))
@@ -331,10 +316,9 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
             violations.append(Violation(
                 AREA_MISMATCH, (),
                 f"tile areas sum to {area_sum}, boundary encloses {enclosed}"))
-        if region is not None and region_ok:
-            if canonical_polygon(region) != derived:
-                violations.append(Violation(
-                    REGION_MISMATCH, (), "derived boundary differs from region"))
+        if canonical is not None and canonical != derived:
+            violations.append(Violation(
+                REGION_MISMATCH, (), "derived boundary differs from region"))
 
     return ValidationReport(not violations, violations, derived, soup)
 

@@ -155,6 +155,19 @@ class TestOtherCommands:
         assert err.value.code == 2
         assert not (tmp_path / "a.svg").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["render", "-o", "a.svg", "--width", "9" * 330],
+         "integer division result too large for a float"),
+        (["stats", "--precision-bits", "10000000000000000000000"],
+         "too many digits in integer"),
+    ], ids=["width", "precision-bits"])
+    def test_too_large_option_exit_1(self, til, tmp_path, argv, message):
+        # an option too large to compute with is bad input, not a bug
+        path = til("a.til", "generate", "recursive", "--depth", "1")
+        code, out, err = run([argv[0], path, *argv[1:]], tmp_path)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "a.svg").exists()
+
     @pytest.mark.parametrize("text", ["\u0663", "+3", "0_3"],
                              ids=["arabic-indic", "plus", "underscore"])
     @pytest.mark.parametrize("argv", [

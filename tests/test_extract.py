@@ -10,6 +10,7 @@ from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
                      parse_tiling, restrict_to_disk, validate_patch)
 from tritile.extract import triangle_sq_dist
 from tritile.report import Status
+from tritile.validate import DISCONNECTED, RegionError
 
 import fixtures
 
@@ -37,6 +38,68 @@ def closures_touch(t1: Triangle, t2: Triangle) -> bool:
             if turn(a, b, c) * turn(a, b, d) < 0 and turn(c, d, a) * turn(c, d, b) < 0:
                 return True
     return False
+
+
+def fill_oracle(ambient: TilingPatch, selected: set[int]) -> set[int] | None:
+    """The component-by-component fill: None unless the selection is
+    connected (vertex contact counts); else the selection plus every
+    complementary component, by side adjacency among unselected tiles,
+    that has no ambient boundary edge."""
+    graph = build_incidence(ambient)
+    touch = {i: set() for i in range(graph.t)}
+    for tiles in graph.incident_tiles.values():
+        for a in tiles:
+            touch[a].update(tiles)
+    seen, frontier = {min(selected)}, [min(selected)]
+    while frontier:
+        for w in touch[frontier.pop()] & selected - seen:
+            seen.add(w)
+            frontier.append(w)
+    if seen != selected:
+        return None
+
+    on_ambient_boundary = {e.incidences[0].tile for e in graph.boundary_edges}
+    unseen = set(range(graph.t)) - selected
+    result = set(selected)
+    while unseen:
+        comp, stack = {min(unseen)}, [min(unseen)]
+        while stack:
+            for w in graph.adjacency[stack.pop()] & unseen - comp:
+                comp.add(w)
+                stack.append(w)
+        unseen -= comp
+        if not comp & on_ambient_boundary:
+            result |= comp
+    return result
+
+
+def ring_oracle(ambient: TilingPatch, inside: set[int]) -> list[int]:
+    """The edge-rule ring: outside tiles at an endpoint of an ambient edge
+    with exactly one tile inside."""
+    graph = build_incidence(ambient)
+    boundary_pts = {p for e in graph.soup.edges if sum(t in inside for t in e.tiles) == 1
+                    for p in (e.a, e.b)}
+    return sorted({t for p in boundary_pts for t in graph.incident_tiles.get(p, ())} - inside)
+
+
+def seeded_disks(patch: TilingPatch, rng):
+    """40 random centres around the patch, each with three squared radii:
+    some tile's exact distance, its box distance and a random one."""
+    xs = [p.x for t in patch.tiles for p in t.vertices]
+    ys = [p.y for t in patch.tiles for p in t.vertices]
+
+    def gap(values, v):
+        return max(min(values) - v, v - max(values), 0)
+
+    for _ in range(40):
+        c = Point(min(xs) + (max(xs) - min(xs)) * F(rng.randint(-8, 72), 64),
+                  min(ys) + (max(ys) - min(ys)) * F(rng.randint(-8, 72), 64))
+        t = rng.choice(patch.tiles)
+        box = (gap([p.x for p in t.vertices], c.x) ** 2
+               + gap([p.y for p in t.vertices], c.y) ** 2)
+        for r_sq in (triangle_sq_dist(t, c), box, F(rng.randint(1, 400), 16)):
+            if r_sq > 0:
+                yield c, r_sq
 
 
 class TestRestrict:
@@ -130,8 +193,14 @@ class TestFillHoles:
 
     def test_disconnected_selection_rejected(self):
         patch = two_scale(3, 1)
-        with pytest.raises(ValueError, match="not connected"):
+        with pytest.raises(RegionError) as err:
             fill_holes(patch, {0, len(patch.tiles) - 1})
+        assert err.value.kind == DISCONNECTED
+
+    def test_nested_selection_filled(self):
+        # the inner tile lies in the hole of the outer ring of three
+        patch = gen_recursive_split(RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 2))
+        assert fill_holes(patch, {0, 4, 5, 6}).tiles == patch.tiles
 
     def test_idempotent(self):
         patch = two_scale(3, 2)
@@ -189,6 +258,58 @@ class TestBoundaryRing:
         alien = TilingPatch((Triangle(P(100, 0), P(101, 0), P(100, 1)),))
         with pytest.raises(ValueError):
             boundary_ring(patch, alien)
+
+
+def matches_oracles(ambient: TilingPatch, selected: set[int]) -> tuple[set[int], list[int]]:
+    """Assert that fill_holes and boundary_ring agree with the oracles on
+    a connected selection; the piece's tile indices and the ring."""
+    want = fill_oracle(ambient, selected)
+    assert want is not None
+    piece = fill_holes(ambient, selected)
+    assert piece.tiles == tuple(ambient.tiles[i] for i in sorted(want))
+    ring = boundary_ring(ambient, piece)
+    assert ring == ring_oracle(ambient, want)
+    return want, ring
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name, disk", [
+        ("twoscale-2", (P(2, F(3, 2)), F(1))),
+        ("recursive-4", (P(0, 0), F(1))),
+        ("convex-6", (P(0, 0), F(1, 4))),
+        ("recursive-5", (P(0, 0), F(1))),
+    ])
+    def test_disk_extractions(self, name, disk, rng):
+        if name == "recursive-5":
+            patch = gen_recursive_split(RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 5))
+        else:
+            patch = parse_tiling((GOLDEN / f"{name}.til").read_text())
+        touch_checked = 0
+        for c, r_sq in [disk, *seeded_disks(patch, rng)]:
+            selected = restrict_to_disk(patch, c, r_sq)
+            if not selected:
+                continue
+            piece, ring = matches_oracles(patch, selected)
+            if touch_checked < 8:
+                touch_checked += 1
+                assert ring == [i for i, t in enumerate(patch.tiles) if i not in piece
+                                and any(closures_touch(t, patch.tiles[j]) for j in piece)]
+        assert touch_checked == 8
+
+    def test_whole_minus_interior_blob(self, rng):
+        patch = two_scale(4, 3)
+        g = build_incidence(patch)
+        interior = set(range(g.t)) - {e.incidences[0].tile for e in g.boundary_edges}
+        filled = 0
+        for _ in range(40):
+            blob = {rng.choice(sorted(interior))}
+            for _ in range(rng.randint(0, 6)):
+                grow = sorted(set().union(*(g.adjacency[i] for i in blob)) & interior - blob)
+                if grow:
+                    blob.add(rng.choice(grow))
+            selected = set(range(g.t)) - blob
+            filled += matches_oracles(patch, selected)[0] != selected
+        assert filled >= 20
 
 
 class TestExtraction:

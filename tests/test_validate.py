@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tritile import (Point, RegionError, TilingPatch, Triangle, apply_affine,
-                     derive_region, validate_patch)
+                     derive_region, parse_tiling, validate_patch)
 from tritile.validate import (DISCONNECTED, EMPTY, HOLE,
                               NOT_SIMPLE, OVERLAP, REGION_INVALID,
                               REGION_MISMATCH, UNMATCHED_EDGE, elide_collinear,
@@ -15,6 +16,8 @@ from conftest import rand_point
 
 F = Fraction
 P = Point.of
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def kinds(patch):
@@ -36,13 +39,41 @@ class TestValid:
         assert report.ok
         assert report.derived_region == (P(0, 0), P(4, 0), P(1, 3))
 
-    def test_region_with_collinear_vertex(self):
+    def test_region_with_collinear_vertex(self, rng):
         # a region vertex inside a straight boundary run is legal
         patch = TilingPatch(
             (Triangle(P(0, 0), P(2, 0), P(2, 2)), Triangle(P(0, 0), P(2, 2), P(0, 2))),
             (P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)))
         report = validate_patch(patch)
         assert report.ok, [v.describe() for v in report.violations]
+
+        # every valid golden and fixture, its region with 1-4 collinear
+        # vertices added and its start rotated: same verdict, same derived
+        # region, and with a tile taken out the same unmatched edges
+        patches = [parse_tiling((GOLDEN / f"{name}.til").read_text())
+                   for name in ("twoscale-2", "recursive-4", "convex-6")]
+        patches += [make() for make in (fixtures.square_diag, fixtures.rect_l_shape,
+                                        fixtures.notched_split, fixtures.offset_quad)]
+        for patch in patches:
+            bare = validate_patch(patch.with_region(None)).derived_region
+            region = list(bare)
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randrange(len(region))
+                a, b = region[i], region[(i + 1) % len(region)]
+                region.insert(i + 1, a + (b - a).scale(F(rng.randint(1, 15), 16)))
+            start = rng.randrange(len(region))
+            region = tuple(region[start:] + region[:start])
+            report = validate_patch(patch.with_region(region))
+            assert report.ok, [v.describe() for v in report.violations]
+            assert report.derived_region == bare
+
+            tiles = list(patch.tiles)
+            del tiles[rng.randrange(len(tiles))]
+
+            def unmatched(poly):
+                return [v.describe() for v in validate_patch(TilingPatch(tuple(tiles), poly)).violations
+                        if v.kind == UNMATCHED_EDGE]
+            assert unmatched(region) == unmatched(bare)
 
 
 class TestInvalid:
