@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Point, Triangle, cross, reflect_across_bisector,
+from .geometry import (Point, Triangle, cross, is_convex, reflect_across_bisector,
                        reflect_across_line, reflect_through_midpoint)
 from .model import TilingPatch
 
@@ -161,9 +161,8 @@ def gen_convex_triangulation(vertices: tuple[Point, ...],
     k = len(vertices)
     if k < 3:
         raise GeneratorError("need at least 3 vertices")
-    for i in range(k):
-        if cross(vertices[i - 1], vertices[i], vertices[(i + 1) % k]) <= 0:
-            raise GeneratorError("vertices must form a strictly convex CCW polygon")
+    if not is_convex(vertices):
+        raise GeneratorError("vertices must form a strictly convex CCW polygon")
 
     tiles: list[Triangle] = []
     if strategy == "fan":

@@ -82,6 +82,12 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+def is_convex(poly: tuple[Point, ...]) -> bool:
+    """True iff every turn of the closed polygon is strictly CCW."""
+    n = len(poly)
+    return all(cross(poly[i - 1], poly[i], poly[(i + 1) % n]) > 0 for i in range(n))
+
+
 def sq_dist(a: Point, b: Point) -> Fraction:
     dx = a.x - b.x
     dy = a.y - b.y

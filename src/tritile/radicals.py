@@ -19,6 +19,10 @@ terminates because the difference is known to be nonzero by the time
 refinement starts: the enclosure width shrinks to 0 as the precision
 doubles, so it eventually excludes 0, however large the coordinates are.
 There is no precision cap.
+
+Radicands are stored as rationals, for ``repr``, but the arithmetic runs
+on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
+class test is one ``math.isqrt`` and an enclosure one integer sum.
 """
 
 from __future__ import annotations
@@ -33,19 +37,6 @@ ONE = Fraction(1)
 
 #: First precision used when refining an enclosure for a sign decision.
 START_BITS = 64
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Return sqrt(q) if q is a perfect square of a rational, else None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    if rn * rn != q.numerator:
-        return None
-    rd = math.isqrt(q.denominator)
-    if rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,36 +58,8 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, c: Fraction) -> "Interval":
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-
-def sqrt_enclosure(r: Fraction, bits: int) -> Interval:
-    """Enclosure of sqrt(r) with absolute width at most 2**-bits.
-
-    Uses integer square roots only: with m = num*den, isqrt(m << 2*bits)
-    brackets sqrt(m) * 2**bits between consecutive integers.
-    """
-    if r < 0:
-        raise ValueError("negative radicand")
-    if r == 0:
-        return Interval(ZERO, ZERO)
-    m = r.numerator * r.denominator
-    scaled = m << (2 * bits)
-    s = math.isqrt(scaled)
-    den = r.denominator << bits
-    if s * s == scaled:
-        exact = Fraction(s, den)
-        return Interval(exact, exact)
-    return Interval(Fraction(s, den), Fraction(s + 1, den))
 
 
 def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -105,30 +68,37 @@ def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, 
     Radicands with a rational-square ratio join one class; the class keeps
     the smallest radicand seen as representative.  Perfect-square radicands
     fold into the rational class (radicand 1).  Zero coefficients drop out.
+    With r = n/d in lowest terms, r is a square iff n*d is, and r/rep is
+    iff n*d * m_rep is, where m_rep = n_rep*d_rep is kept with each class;
+    then sqrt(r/rep) = isqrt(n*d * m_rep) * d_rep / (d * m_rep).
     """
-    classes: list[list[Fraction]] = []  # [rep, coeff]
+    classes: list[list] = []  # [rep, m_rep, coeff]
     for r, c in raw:
-        if c == 0 or r == 0:
+        if not c or not r:
             continue
-        if r < 0:
+        n, d = r.numerator, r.denominator
+        if n < 0:
             raise ValueError("negative radicand")
-        s = rational_sqrt(r)
-        if s is not None:
-            r, c = ONE, c * s
+        m = n * d
+        s = math.isqrt(m)
+        if s * s == m:
+            r, c, n, d, m = ONE, c * Fraction(s, d), 1, 1, 1
         for cls in classes:
-            ratio = rational_sqrt(r / cls[0])
-            if ratio is None:
+            rep, m_rep, _ = cls
+            p = m * m_rep
+            s = math.isqrt(p)
+            if s * s != p:
                 continue
-            if r < cls[0]:
+            ratio = Fraction(s * rep.denominator, d * m_rep)  # sqrt(r / rep)
+            if n * rep.denominator < rep.numerator * d:
                 # shrink representative: sqrt(rep_old) = sqrt(rep_old/r)*sqrt(r)
-                cls[1] = cls[1] / ratio + c
-                cls[0] = r
+                cls[:] = r, m, cls[2] / ratio + c
             else:
-                cls[1] += c * ratio
+                cls[2] += c * ratio
             break
         else:
-            classes.append([r, c])
-    return tuple(sorted((r, c) for r, c in classes if c != 0))
+            classes.append([r, m, c])
+    return tuple(sorted((r, c) for r, _, c in classes if c))
 
 
 class LengthExpr:
@@ -194,14 +164,24 @@ class LengthExpr:
     __rmul__ = __mul__
 
     def enclosure(self, bits: int) -> Interval:
-        """Rational interval containing the exact value."""
-        total = Interval(ZERO, ZERO)
+        """Rational interval containing the exact value.  Term c*sqrt(n/d)
+        lies between c*s/(d << bits) and c*(s+1)/(d << bits), on the first
+        if exact, where s = isqrt(n*d << 2*bits); the bounds are summed as
+        integers over D << bits, D the lcm of the terms' c.denominator*d."""
+        den = math.lcm(*(c.denominator * r.denominator for r, c in self._terms))
+        lo = hi = 0
         for r, c in self._terms:
-            if r == 1:
-                total = total + Interval(c, c)
-            else:
-                total = total + sqrt_enclosure(r, bits).scale(c)
-        return total
+            k = c.numerator * (den // (c.denominator * r.denominator))
+            m = r.numerator * r.denominator << 2 * bits
+            s = math.isqrt(m)
+            lo += k * s
+            hi += k * s
+            if s * s != m:
+                if k > 0:
+                    hi += k
+                else:
+                    lo += k
+        return Interval(Fraction(lo, den << bits), Fraction(hi, den << bits))
 
     def refine_until(self, done: Callable[[Interval], bool],
                      start_bits: int = START_BITS) -> Interval:

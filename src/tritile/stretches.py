@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import Point, cross, sq_dist
+from .geometry import Point, is_convex, sq_dist
 from .incidence import AtomicEdge, IncidenceGraph, LineKey
 from .model import TilingPatch
 from .radicals import LengthExpr
@@ -154,11 +154,6 @@ def side_labels(g: IncidenceGraph) -> dict[tuple[int, int], SideLabel]:
         for item in st.short_items:
             labels[item.side] = SideLabel.SHORT
     return labels
-
-
-def is_convex(poly: tuple[Point, ...]) -> bool:
-    n = len(poly)
-    return all(cross(poly[i - 1], poly[i], poly[(i + 1) % n]) > 0 for i in range(n))
 
 
 def eq1_audit(g: IncidenceGraph) -> AuditRecord:

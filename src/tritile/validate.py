@@ -297,15 +297,15 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                     violations.append(Violation(
                         HOLE, (), f"interior boundary cycle through {c[0]}"))
             if len(positive) > 1:
-                kind_found = False
-                for i, ci in enumerate(positive):
-                    for j, cj in enumerate(positive):
-                        if i != j and point_in_polygon(ci[0], tuple(cj)) >= 0:
-                            violations.append(Violation(
-                                OVERLAP, (),
-                                f"component through {ci[0]} nested inside another"))
-                            kind_found = True
-                if not kind_found:
+                # a component is nested iff the cycles around its first
+                # vertex, +1 for each outer and -1 for each hole, do not cancel
+                nested = [ci for ci in positive
+                          if sum((1 if ar > 0 else -1) for cj, ar in zip(cycles, areas)
+                                 if cj is not ci and point_in_polygon(ci[0], tuple(cj)) >= 0)]
+                violations.extend(
+                    Violation(OVERLAP, (), f"component through {ci[0]} nested inside another")
+                    for ci in nested)
+                if not nested:
                     violations.append(Violation(
                         DISCONNECTED, (), f"{len(positive)} separate components"))
 

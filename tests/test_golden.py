@@ -2,8 +2,9 @@
 
 `tests/golden/` holds three small inputs (a 2x2 two-scale grid, a depth-4
 recursive split and a k=6 convex triangulation) together with the exact
-stdout of `audit`, `audit --disk`, `stretches` and `stats` on each, the
-SVG written by `render --stretch-overlay --labels`, and the exit codes.
+stdout of `audit`, `audit --disk`, `stretches`, `stats` and
+`stats --precision-bits 256` on each, the SVG written by
+`render --stretch-overlay --labels`, and the exit codes.
 It also holds hand-made invalid inputs (`invalid-*.til`) with the exact
 stdout of `validate` on each: the kind, tiles, text and order of every
 violation.  Any refactor must keep all of them byte-identical.
@@ -35,7 +36,7 @@ CASES = {
 
 #: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each
 INVALID = ("annulus", "bowtie", "clockwise-region", "comb", "crossing", "crossing-region",
-           "disconnected", "missing-tile", "spike-region", "star-region", "touching")
+           "disconnected", "island", "missing-tile", "spike-region", "star-region", "touching")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -78,6 +79,18 @@ def test_outputs_match_golden(name, tmp_path):
         assert data == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
 
 
+def stats256(name: str) -> bytes:
+    """`stats --precision-bits 256`: enclosures well past the 64-bit default."""
+    code, text = _run(["stats", str(GOLDEN / f"{name}.til"), "--precision-bits", "256"])
+    assert code == 0
+    return text.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_high_precision_stats_match_golden(name):
+    assert stats256(name) == (GOLDEN / f"{name}.stats256.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", INVALID)
 def test_validate_invalid_matches_golden(name):
     code, text = _run(["validate", str(GOLDEN / f"invalid-{name}.til")])
@@ -96,6 +109,7 @@ def regenerate() -> None:
             for suffix, (code, data) in outputs(name, str(til), Path(tmp)).items():
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)
                 codes[f"{name}.{suffix}"] = code
+            (GOLDEN / f"{name}.stats256.txt").write_bytes(stats256(name))
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     for name in INVALID:
         code, text = _run(["validate", str(GOLDEN / f"invalid-{name}.til")])

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tritile import Interval, LengthExpr
-from tritile.radicals import fraction_decimal, rational_sqrt, sqrt_enclosure
+from tritile import Interval, LengthExpr, Point, RecursiveSplitSpec, gen_recursive_split
+from tritile.geometry import sq_dist
+from tritile.radicals import fraction_decimal
 
 from conftest import conjugate_product, expr_decimal
 
 F = Fraction
+P = Point.of
 
 
 def sq(r, c=1):
@@ -161,13 +164,13 @@ class TestRichComparisons:
 
 class TestEnclosures:
     def test_sqrt_enclosure_brackets_value(self):
-        iv = sqrt_enclosure(F(2), 40)
+        iv = sq(2).enclosure(40)
         d = expr_decimal(sq(2))
         assert Fraction(iv.lo) <= Fraction(str(d)) <= Fraction(iv.hi)
         assert iv.width <= F(1, 2 ** 40)
 
     def test_exact_square_has_zero_width(self):
-        iv = sqrt_enclosure(F(9, 4), 10)
+        iv = sq(F(9, 4)).enclosure(10)
         assert iv.lo == iv.hi == F(3, 2)
 
     def test_refine_reaches_width(self, rng):
@@ -182,9 +185,6 @@ class TestEnclosures:
     def test_interval_invariants(self):
         with pytest.raises(ValueError):
             Interval(F(1), F(0))
-        iv = Interval(F(1), F(2)) + Interval(F(-1), F(1))
-        assert (iv.lo, iv.hi) == (F(0), F(3))
-        assert Interval(F(1), F(2)).scale(F(-2)) == Interval(F(-4), F(-2))
 
 
 class TestRendering:
@@ -203,11 +203,6 @@ class TestRendering:
         assert fraction_decimal(F(-1, 8), 2) == "-0.12"
         assert fraction_decimal(F(7, 2), 1) == "3.5"
 
-    def test_rational_sqrt(self):
-        assert rational_sqrt(F(9, 16)) == F(3, 4)
-        assert rational_sqrt(F(2)) is None
-        assert rational_sqrt(F(-4)) is None
-
 
 def _random_expr(rng: random.Random) -> LengthExpr:
     e = LengthExpr.rational(F(rng.randint(-6, 6), rng.randint(1, 4)))
@@ -216,3 +211,132 @@ def _random_expr(rng: random.Random) -> LengthExpr:
         c = F(rng.randint(-5, 5), rng.randint(1, 3))
         e = e + LengthExpr.sqrt(r, c)
     return e
+
+
+# Plain-Fraction oracles: the canonical form and the enclosure computed
+# with rational square roots and per-term interval sums, independently of
+# the library's integer class tests and integer enclosure sums.
+
+def oracle_rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) if q is the square of a rational, else None."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return F(rn, rd)
+
+
+def oracle_merge_terms(raw):
+    """Canonical terms: square-ratio classes, smallest radicand seen as
+    representative, perfect squares folded into radicand 1."""
+    classes = []  # [rep, coeff]
+    for r, c in raw:
+        if c == 0 or r == 0:
+            continue
+        s = oracle_rational_sqrt(r)
+        if s is not None:
+            r, c = F(1), c * s
+        for cls in classes:
+            ratio = oracle_rational_sqrt(r / cls[0])
+            if ratio is None:
+                continue
+            if r < cls[0]:
+                cls[1] = cls[1] / ratio + c
+                cls[0] = r
+            else:
+                cls[1] += c * ratio
+            break
+        else:
+            classes.append([r, c])
+    return tuple(sorted((r, c) for r, c in classes if c != 0))
+
+
+def oracle_enclosure(terms, bits: int) -> tuple[Fraction, Fraction]:
+    """Sum of per-term intervals: sqrt(r) bracketed by isqrt(n*d << 2*bits)
+    over d << bits (closed at +1 unless exact), scaled by c, added up."""
+    lo = hi = F(0)
+    for r, c in terms:
+        scaled = r.numerator * r.denominator << (2 * bits)
+        s = math.isqrt(scaled)
+        den = r.denominator << bits
+        a, b = F(s, den), F(s + (s * s != scaled), den)
+        a, b = (a * c, b * c) if c >= 0 else (b * c, a * c)
+        lo, hi = lo + a, hi + b
+    return lo, hi
+
+
+def _recursive_squares() -> list[Fraction]:
+    """Squared side lengths of a depth-40 recursive split with t = 7/3:
+    numerators of up to 65 digits, denominators of up to 23."""
+    spec = RecursiveSplitSpec((P(F(1, 3), 0), P(F(5, 2), F(1, 7)), P(0, F(9, 4))), F(7, 3), 40)
+    return [sq_dist(p, q) for t in gen_recursive_split(spec).tiles for p, q in t.sides()]
+
+
+def _oracle_cases(rng: random.Random) -> list[list[tuple[Fraction, Fraction]]]:
+    """Seeded raw term lists from five families; each list appears alone
+    and together with a negated copy of itself, which cancels it."""
+    def coeff():
+        return F(rng.randint(-50, 50), rng.randint(1, 60))
+
+    def square():
+        return F(rng.randint(1, 40), rng.randint(1, 40)) ** 2
+
+    squares = _recursive_squares()
+    families = {
+        "rational": lambda: [(F(rng.randint(1, 10 ** 7), rng.randint(1, 10 ** 6)), coeff())
+                             for _ in range(rng.randint(1, 6))],
+        "square": lambda: [(square(), coeff()) for _ in range(rng.randint(1, 4))],
+        "square-ratio": lambda: [(rng.choice((F(2), F(8), F(1, 2), F(9, 2), F(18, 49))) * square(),
+                                  coeff()) for _ in range(rng.randint(1, 6))],
+        "mixed": lambda: [(rng.choice((F(3), F(5, 7), F(12), F(20, 63))) * square()
+                           if rng.random() < 0.7 else square(), coeff())
+                          for _ in range(rng.randint(1, 8))],
+        "recursive": lambda: [(rng.choice(squares), coeff()) for _ in range(rng.randint(1, 6))],
+    }
+    cases = []
+    for make in families.values():
+        for _ in range(60):
+            raw = make()
+            cases.append(raw)
+            # the same value written with other radicands of its classes,
+            # negated: the sum is zero
+            k = F(rng.randint(1, 9), rng.randint(1, 9))
+            cancel = [(r * k * k, -c / k) for r, c in raw]
+            rng.shuffle(cancel)
+            cases.append(raw + cancel)
+    cases += [[(r, coeff())] for r in squares[:20]]
+    # tight-stretch cancellation: one side as long as seven collinear
+    # copies of another
+    lo, hi = squares[0], squares[0] * 49
+    cases.append([(hi, F(1)), (lo, F(-7))])
+    return cases
+
+
+class TestIntegerArithmeticOracles:
+    """The integer class test and integer enclosure sum agree exactly with
+    the plain-Fraction oracles above."""
+
+    def test_terms_and_enclosures_match_fraction_oracles(self):
+        cases = _oracle_cases(random.Random(20171))
+        assert len(cases) >= 500
+        zero = shrunk = 0
+        for raw in cases:
+            e = LengthExpr(raw)
+            assert e.terms == oracle_merge_terms(raw), raw
+            zero += e.is_zero()
+            # a class whose representative is not its first radicand shrank
+            shrunk += any(next(r0 for r0, c in raw if c and oracle_rational_sqrt(r0 / r)) != r
+                          for r, _ in e.terms if r != 1)
+            for bits in (8, 64, 256, 1024):
+                iv = e.enclosure(bits)
+                assert (iv.lo, iv.hi) == oracle_enclosure(e.terms, bits), (raw, bits)
+        assert zero >= 300 and shrunk >= 40
+
+    def test_enclosure_of_exact_and_negative_terms(self):
+        assert LengthExpr().enclosure(8) == Interval(F(0), F(0))
+        e = LengthExpr([(F(9, 49), F(-2)), (F(1, 2), F(-3, 5)), (F(18, 49), F(7, 11))])
+        for bits in (8, 64):
+            iv = e.enclosure(bits)
+            assert (iv.lo, iv.hi) == oracle_enclosure(e.terms, bits)
+            assert iv.lo < iv.hi

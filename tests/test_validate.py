@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (Point, RegionError, TilingPatch, Triangle, apply_affine,
-                     derive_region, parse_tiling, validate_patch)
+from tritile import (Point, RecursiveSplitSpec, RegionError, TilingPatch, Triangle,
+                     apply_affine, derive_region, gen_recursive_split, parse_tiling,
+                     validate_patch)
 from tritile.validate import (DISCONNECTED, EMPTY, HOLE,
                               NOT_SIMPLE, OVERLAP, REGION_INVALID,
                               REGION_MISMATCH, UNMATCHED_EDGE, elide_collinear,
@@ -92,7 +93,8 @@ class TestInvalid:
     def test_contained_tile(self):
         patch = TilingPatch((Triangle(P(0, 0), P(10, 0), P(5, 8)),
                              Triangle(P(4, 2), P(6, 2), P(5, 3))))
-        assert OVERLAP in kinds(patch)
+        assert [v.describe() for v in validate_patch(patch).violations] == [
+            "OVERLAP component through (4, 2) nested inside another"]
 
     def test_partial_side_stack(self):
         # second tile rests on part of the first tile's side, same side
@@ -115,6 +117,15 @@ class TestInvalid:
         patch = TilingPatch((Triangle(P(0, 0), P(1, 0), P(0, 1)),
                              Triangle(P(9, 0), P(10, 0), P(9, 1))))
         assert kinds(patch) == {DISCONNECTED}
+
+    def test_island_inside_hole_is_disconnected(self):
+        # the inner triangle and the outer ring of a depth-2 recursive
+        # split: two components, neither overlapping the other
+        patch = gen_recursive_split(RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 2))
+        patch = TilingPatch(tuple(patch.tiles[i] for i in (0, 4, 5, 6)))
+        assert [v.describe() for v in validate_patch(patch).violations] == [
+            "HOLE interior boundary cycle through (-1, 0)",
+            "DISCONNECTED 2 separate components"]
 
     def test_pinched_union(self):
         assert kinds(fixtures.bowtie()) == {NOT_SIMPLE}
