@@ -35,6 +35,8 @@ def _rationals(text: str, n: int) -> list[Fraction]:
 
 
 _INT = re.compile(r"-?[0-9]+")
+_NEGATIVE = re.compile(r"-[0-9]")
+_LONG_OPTION = re.compile(r"--[a-z][a-z-]*")
 
 
 def _int(text: str) -> int:
@@ -254,8 +256,20 @@ _COMMANDS = {
 }
 
 
+def _joined_negative_values(argv: list[str]) -> list[str]:
+    """`--opt -1,0` as `--opt=-1,0`, which argparse would read as two options."""
+    out: list[str] = []
+    for token in argv:
+        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _joined_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (TilingParseError, GeneratorError, ValueError, OverflowError, OSError) as exc:

@@ -3,7 +3,7 @@ accounting audit on the extracted piece.
 
 The disk is given by its squared radius so the open-disk intersection
 predicate stays a rational comparison; the radius itself never needs to
-materialize.
+materialize.  The predicates run on the ambient grid, the disk scaled into it.
 
 Each step reads the ambient incidence graph: the holes are the tiles the
 ambient boundary cannot reach through unselected tiles (one search over
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point, Triangle, segment_sq_dist, sq_dist
+from .geometry import Point, Triangle, cross, segment_sq_dist, sq_dist
 from .incidence import IncidenceGraph, build_incidence
 from .model import TilingPatch
 from .radicals import LengthExpr
@@ -29,7 +29,7 @@ from .validate import derive_region, point_in_polygon
 def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
     """Exact squared distance from p to the closed triangle."""
     if t.contains(p):
-        return Fraction(0)
+        return 0
     return min(segment_sq_dist(a, b, p) for a, b in t.sides())
 
 
@@ -40,7 +40,7 @@ def _box_sq_dist(t: Triangle, p: Point) -> Fraction:
     ys = (t.a.y, t.b.y, t.c.y)
     dx = max(min(xs) - p.x, p.x - max(xs), 0)
     dy = max(min(ys) - p.y, p.y - max(ys), 0)
-    return Fraction(dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
 def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set[int]:
@@ -49,7 +49,9 @@ def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set
     triangle distance."""
     if r_sq <= 0:
         raise ValueError("r_sq must be positive")
-    return {i for i, t in enumerate(ambient.tiles)
+    grid = ambient.grid
+    center, r_sq = grid.of(center), r_sq * grid.scale ** 2
+    return {i for i, t in enumerate(grid.tiles)
             if _box_sq_dist(t, center) < r_sq and triangle_sq_dist(t, center) < r_sq}
 
 
@@ -62,7 +64,8 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
     piece comes back without a region, validated once, and that is the
     only connectivity check: RegionError (a ValueError) unless the piece
     is one simple polygon, with kind DISCONNECTED when it falls apart into
-    simple parts and NOT_SIMPLE when it is pinched.
+    parts with no common point, pinched or not, and NOT_SIMPLE when it is
+    one pinched piece.
     ``build_incidence(piece)`` reuses the report, and its ``region`` is
     the piece's boundary.
     """
@@ -89,10 +92,10 @@ def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
     """Ambient tiles outside the patch that share a vertex with it (corner
     or mid-side), which in a tiling is every tile whose closure touches it."""
     graph = build_incidence(ambient)
-    index = {t: i for i, t in enumerate(ambient.tiles)}
-    try:
-        inside = {index[t] for t in patch.tiles}
-    except KeyError:
+    index = {t: i for i, t in enumerate(ambient.grid.tiles)}
+    k, rest = divmod(ambient.grid.scale, patch.grid.scale)  # a subset's grid is coarser
+    inside = {index.get(Triangle(*(p.scale(k) for p in t.vertices))) for t in patch.grid.tiles}
+    if rest or None in inside:
         raise ValueError("patch is not a tile subset of the ambient patch")
     ring = {t for tiles in graph.incident_tiles.values() if not tiles.isdisjoint(inside)
             for t in tiles} - inside
@@ -120,12 +123,14 @@ def _disk_plus_one_covered(graph: IncidenceGraph, center: Point, r_sq: Fraction)
     Exact test: sq >= r_sq + 1 + 2*sqrt(r_sq) for the squared distance sq
     of every ambient boundary edge, plus the center lying in the region.
     """
-    if point_in_polygon(center, graph.region) < 0:
+    grid = graph.patch.grid
+    center, r_sq, one = grid.of(center), r_sq * grid.scale ** 2, grid.scale ** 2  # on the grid
+    if point_in_polygon(center, graph.outline) < 0:
         return False
     for e in graph.boundary_edges:
         sq = segment_sq_dist(e.a, e.b, center)
-        rest = sq - r_sq - 1
-        if rest < 0 or rest * rest < 4 * r_sq:
+        rest = sq - r_sq - one
+        if rest < 0 or rest * rest < 4 * r_sq * one:
             return False
     return True
 
@@ -167,10 +172,12 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
     t_prime = len(ring)
     eps2 = g.eps2
 
-    min_side_sq = min(s for tile in patch.tiles for s in tile.squared_sides())
-    min_area = min(tile.area for tile in patch.tiles)
-    boundary_len = LengthExpr.sum(LengthExpr.sqrt(sq_dist(e.a, e.b))
-                                  for e in g.boundary_edges)
+    grid = patch.grid
+    dd = grid.scale ** 2
+    twice_areas = [cross(*tile.vertices) for tile in grid.tiles]
+    min_side_sq = Fraction(min(s for tile in grid.tiles for s in tile.squared_sides()), dd)
+    min_area = Fraction(min(twice_areas), 2 * dd)
+    boundary_len = LengthExpr.sum(grid.length(sq_dist(e.a, e.b)) for e in g.boundary_edges)
 
     rec.info("t", t)
     rec.info("t_prime", t_prime)
@@ -212,14 +219,14 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
 
     if unit_perimeter:
         one = LengthExpr.rational(1)
-        perims_ok = all(tile.perimeter() == one for tile in patch.tiles)
+        perims_ok = all(grid.perimeter(tile) == one for tile in grid.tiles)
         rec.check("unit_perimeter", perims_ok)
         # every side longer than four times the smallest area
         side_ok = min_side_sq > 16 * min_area * min_area
         rec.check("side_exceeds_4_min_area", side_ok,
                   min_side_sq, 16 * min_area * min_area)
         # areas at most sqrt(3)/36, squared to stay rational
-        worst = max(tile.area for tile in patch.tiles)
+        worst = Fraction(max(twice_areas), 2 * dd)
         rec.check("area_at_most_equilateral", 1296 * worst * worst <= 3,
                   1296 * worst * worst, 3)
         unit_lhs = 4 * g.e_full * min_area

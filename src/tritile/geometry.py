@@ -1,7 +1,10 @@
-"""Exact geometric primitives on rational coordinates.
+"""Exact geometric primitives on rational or integer coordinates.
 
 All predicates are decided by integer/rational arithmetic; there are no
 epsilon tolerances anywhere.  Points compare by exact field equality.
+Every primitive also takes points with int coordinates and stays on ints
+(a patch's analysis runs on its :class:`tritile.model.Grid`); a quotient,
+where one is needed, is an exact ``Fraction``, never a float.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
+def twice_area(poly: tuple[Point, ...]) -> Fraction:
+    """Twice the signed area of a polygon (positive for CCW): an int on ints."""
+    return sum(cross(poly[0], a, b) for a, b in zip(poly[1:], poly[2:]))
+
+
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     """Turn direction of the ordered triple, computed exactly."""
     c = cross(p, q, r)
@@ -109,15 +117,13 @@ def point_on_segment_interior(a: Point, b: Point, p: Point) -> bool:
 def segment_sq_dist(a: Point, b: Point, p: Point) -> Fraction:
     """Exact squared distance from p to the closed segment ab."""
     ab2 = sq_dist(a, b)
-    if ab2 == 0:
+    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
+    if dot <= 0:
         return sq_dist(a, p)
-    t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / ab2
-    if t <= 0:
-        return sq_dist(a, p)
-    if t >= 1:
+    if dot >= ab2:
         return sq_dist(b, p)
-    foot = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    return sq_dist(foot, p)
+    # the foot lies inside: the distance to the line, cross^2 / |ab|^2
+    return Fraction(cross(a, b, p) ** 2, ab2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +161,7 @@ class Triangle:
 
     @property
     def area(self) -> Fraction:
-        return cross(self.a, self.b, self.c) / 2
+        return Fraction(cross(self.a, self.b, self.c), 2)
 
     def squared_sides(self) -> tuple[Fraction, Fraction, Fraction]:
         """Squared side lengths, ascending."""
@@ -186,7 +192,7 @@ def reflect_across_line(x: Point, y: Point, p: Point) -> Point:
     d = y - x
     w = p - x
     n2 = d.x * d.x + d.y * d.y
-    t = (w.x * d.x + w.y * d.y) / n2
+    t = Fraction(w.x * d.x + w.y * d.y, n2)
     # p' = x + 2*t*d - w
     return Point(x.x + 2 * t * d.x - w.x, x.y + 2 * t * d.y - w.y)
 
@@ -197,7 +203,7 @@ def reflect_through_midpoint(x: Point, y: Point, p: Point) -> Point:
 
 def reflect_across_bisector(x: Point, y: Point, p: Point) -> Point:
     """Mirror image across the perpendicular bisector of segment xy."""
-    m = Point((x.x + y.x) / 2, (x.y + y.y) / 2)
+    m = Point(Fraction(x.x + y.x, 2), Fraction(x.y + y.y, 2))
     d = y - x
     n = Point(-d.y, d.x)  # perpendicular direction through m
     return reflect_across_line(m, m + n, p)

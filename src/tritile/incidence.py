@@ -1,7 +1,8 @@
 """Incidence structure of a patch: vertices, atomic edges, per-line data.
 
-The central object is the *edge soup*: every triangle side is grouped by
-its supporting line (normalized rational coefficients), split at every
+The central object is the *edge soup*, built on the patch's integer grid
+(:class:`tritile.model.Grid`): every triangle side is grouped by its
+supporting line (primitive integer coefficients), split at every
 vertex lying in its relative interior, and the resulting *atomic edges*
 hold the soup's own records of the sides covering them, each with the
 geometric side of the line its tile occupies.  Splitting uses only
@@ -21,14 +22,17 @@ and adds only the boundary edges and their vertices; every count (v, e,
 v*, v_bd, e_full, e_part) is read from the soup or from those two.  It
 is built once per patch and caches what later layers derive from it
 (stretches, labels, eps2), so every audit takes just the graph.
+
+Every point, position and line key in the soup and the graph is a grid
+value; only the graph's ``region`` is rational (``outline`` is its grid form).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import TYPE_CHECKING
 
 from .geometry import Point, Triangle
@@ -40,32 +44,35 @@ if TYPE_CHECKING:
     from .stretches import SideLabel, Stretch
     from .validate import ValidationReport
 
-LineKey = tuple[Fraction, Fraction, Fraction]
+LineKey = tuple[int, int, int]
 
 
 def line_through(p: Point, q: Point) -> LineKey:
-    """Normalized coefficients (A, B, C) of the line A*x + B*y + C = 0.
-
-    The leading nonzero coefficient of (A, B) is scaled to 1, so the key
-    is identical for every segment on the same undirected line.
-    """
+    """Primitive integer coefficients (A, B, C) of the line A*X + B*Y + C = 0
+    through two grid points: gcd(A, B) = 1 and the first nonzero of A, B
+    is positive, so the key is identical for every segment on the same
+    undirected line."""
     a = q.y - p.y
     b = p.x - q.x
-    c = -(a * p.x + b * p.y)
-    if a != 0:
-        return (Fraction(1), b / a, c / a)
-    return (Fraction(0), Fraction(1), c / b)
+    g = math.gcd(a, b) if a > 0 or (a == 0 and b > 0) else -math.gcd(a, b)
+    a, b = a // g, b // g
+    return (a, b, -(a * p.x + b * p.y))
 
 
-def line_eval(key: LineKey, p: Point) -> Fraction:
-    return key[0] * p.x + key[1] * p.y + key[2]
+def line_pos(key: LineKey, p: Point) -> int:
+    """Monotone position of a grid point along the line (X, or Y if vertical)."""
+    return p.y if key[1] == 0 else p.x
 
 
-def line_pos(key: LineKey, p: Point) -> Fraction:
-    """Monotone position of a point along the line (x, or y if vertical)."""
-    if key[0] == 1 and key[1] == 0:
-        return p.y
-    return p.x
+def _line_order(keys) -> list[LineKey]:
+    """The keys in the order of their rational forms (0, 1, C) and
+    (1, B/A, C/A): by slope, compared exactly once per direction, then C."""
+    def by_slope(u, v):
+        d = u[1] * v[0] - v[1] * u[0]   # B/A of u minus B/A of v, times both A
+        return (u[0] > 0) - (v[0] > 0) or (d > 0) - (d < 0)
+
+    rank = {d: i for i, d in enumerate(sorted({k[:2] for k in keys}, key=cmp_to_key(by_slope)))}
+    return sorted(keys, key=lambda k: (rank[k[:2]], k[2]))
 
 
 @dataclass
@@ -76,8 +83,8 @@ class SideRef:
     index: int
     a: Point
     b: Point
-    lo: Fraction
-    hi: Fraction
+    lo: int                         # positions: X, or Y on a vertical line
+    hi: int
     sign: int                       # side of the line the tile occupies
 
 
@@ -86,8 +93,8 @@ class AtomicEdge:
     a: Point
     b: Point
     line: LineKey
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
     incidences: list[SideRef]       # the sides covering it; one on the boundary
 
     @property
@@ -105,42 +112,43 @@ class LineGroup:
 @dataclass
 class EdgeSoup:
     corner_tiles: dict[Point, list[int]]
-    lines: dict[LineKey, LineGroup]
+    lines: dict[LineKey, LineGroup]     # in _line_order
     edges: list[AtomicEdge]
     # vertex -> sides whose relative interior contains it
     vertex_subdivides: dict[Point, list[tuple[int, int]]]
 
 
 def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
+    """The edge soup of the tiles of a patch's grid."""
     corner_tiles: dict[Point, list[int]] = {}
     for i, t in enumerate(tiles):
         for p in t.vertices:
             corner_tiles.setdefault(p, []).append(i)
 
-    lines: dict[LineKey, LineGroup] = {}
+    groups: dict[LineKey, LineGroup] = {}
     for i, t in enumerate(tiles):
         verts = t.vertices
         for s in range(3):
-            p, q = verts[s], verts[(s + 1) % 3]
+            p, q, r = verts[s], verts[(s + 1) % 3], verts[(s + 2) % 3]
             key = line_through(p, q)
-            grp = lines.setdefault(key, LineGroup(key))
-            sgn = 1 if line_eval(key, verts[(s + 2) % 3]) > 0 else -1
+            grp = groups.setdefault(key, LineGroup(key))
+            sgn = 1 if key[0] * r.x + key[1] * r.y + key[2] > 0 else -1
             kp, kq = line_pos(key, p), line_pos(key, q)
             if kp <= kq:
                 grp.sides.append(SideRef(i, s, p, q, kp, kq, sgn))
             else:
                 grp.sides.append(SideRef(i, s, q, p, kq, kp, sgn))
 
+    lines = {key: groups[key] for key in _line_order(groups)}
     all_edges: list[AtomicEdge] = []
     vertex_subdivides: dict[Point, list[tuple[int, int]]] = {}
-    for key in sorted(lines):
-        grp = lines[key]
-        pts: dict[Fraction, Point] = {}
+    for key, grp in lines.items():
+        pts: dict[int, Point] = {}
         for ref in grp.sides:
             pts[ref.lo] = ref.a
             pts[ref.hi] = ref.b
         positions = sorted(pts)
-        edge_map: dict[tuple[Fraction, Fraction], AtomicEdge] = {}
+        edge_map: dict[tuple[int, int], AtomicEdge] = {}
         for ref in grp.sides:
             i0 = bisect_right(positions, ref.lo)
             i1 = bisect_left(positions, ref.hi)
@@ -166,6 +174,7 @@ class IncidenceGraph:
     patch: TilingPatch
     soup: EdgeSoup
     region: tuple[Point, ...]            # derived boundary polygon (CCW)
+    outline: tuple[Point, ...]           # the same polygon on the grid
     boundary_edges: list[AtomicEdge]     # full and partial, in soup order
     boundary_vertices: set[Point]
 
@@ -225,7 +234,7 @@ class IncidenceGraph:
         soup = report.soup
         boundary = [e for e in soup.edges if len(e.incidences) == 1]
         boundary_pts = {p for e in boundary for p in (e.a, e.b)}
-        return cls(patch, soup, report.derived_region, boundary, boundary_pts)
+        return cls(patch, soup, report.derived_region, report.outline, boundary, boundary_pts)
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:

@@ -12,17 +12,21 @@ vertex count is a plain integer, all in ASCII digits.  A `#` starts a
 comment anywhere except inside the line-1 magic.  Parsing performs no
 validation beyond syntax and triangle nondegeneracy; see
 :func:`tritile.validate.validate_patch` for the geometric checks.
+
+A patch holds rationals; its analysis runs on its :class:`Grid`, the patch
+scaled once by the common denominator of its coordinates to ints.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .geometry import Point, Triangle, format_rational, parse_rational, sq_dist
+from .geometry import Point, Triangle, format_rational, parse_rational, sq_dist, twice_area
 from .radicals import Interval, LengthExpr
 
 if TYPE_CHECKING:
@@ -73,6 +77,19 @@ class TilingPatch:
         return TilingPatch(self.tiles, region, self.metadata)
 
     @cached_property
+    def grid(self) -> Grid:
+        """The patch on its integer grid, computed on first use."""
+        pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
+        scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+
+        def up(p: Point) -> Point:
+            return Point(p.x.numerator * (scale // p.x.denominator),
+                         p.y.numerator * (scale // p.y.denominator))
+
+        return Grid(scale, tuple(Triangle(*map(up, t.vertices)) for t in self.tiles),
+                    None if self.region is None else tuple(map(up, self.region)))
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """The validator's report on this patch, with the edge soup it built."""
         from .validate import validate_patch
@@ -85,14 +102,37 @@ class TilingPatch:
         return IncidenceGraph.from_report(self, self.validation)
 
 
+@dataclass(frozen=True)
+class Grid:
+    """A patch's tiles and region times `scale`, the lcm of their coordinates'
+    denominators: every coordinate is an int, and tile i side s is still
+    tile i side s.  A grid point p stands for p / scale, a squared grid
+    length n for n / scale**2."""
+
+    scale: int
+    tiles: tuple[Triangle, ...]
+    region: tuple[Point, ...] | None
+
+    def point(self, p: Point) -> Point:
+        """The rational point that p, on the grid's scale, stands for."""
+        return Point(Fraction(p.x, self.scale), Fraction(p.y, self.scale))
+
+    def of(self, p: Point) -> Point:
+        """A rational point on the grid's scale (int coordinates on the grid)."""
+        x, y = Fraction(p.x * self.scale), Fraction(p.y * self.scale)
+        return Point(x.numerator if x.denominator == 1 else x,
+                     y.numerator if y.denominator == 1 else y)
+
+    def length(self, sq: int, coeff: Fraction | int = 1) -> LengthExpr:
+        return LengthExpr.sqrt(Fraction(sq, self.scale ** 2), coeff)
+
+    def perimeter(self, t: Triangle) -> LengthExpr:
+        return LengthExpr.sum(self.length(sq_dist(p, q)) for p, q in t.sides())
+
+
 def polygon_area(poly: tuple[Point, ...]) -> Fraction:
     """Signed shoelace area (positive for CCW)."""
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
-    return total / 2
+    return Fraction(twice_area(poly), 2)
 
 
 def _strip_comment(line: str) -> str:
@@ -204,11 +244,12 @@ def side_length_range(patch: TilingPatch, precision_bits: int = 64) -> tuple[Int
     """
     if not patch.tiles:
         raise ValueError("empty patch")
-    squares = [sq_dist(p, q) for t in patch.tiles for p, q in t.sides()]
+    grid = patch.grid
+    squares = [sq_dist(p, q) for t in grid.tiles for p, q in t.sides()]
     lo_sq, hi_sq = min(squares), max(squares)
 
-    def enclose(s: Fraction) -> Interval:
-        return LengthExpr.sqrt(s).refine_until(
+    def enclose(s: int) -> Interval:
+        return grid.length(s).refine_until(
             lambda iv: iv.width * (1 << precision_bits) <= iv.midpoint, 8)
 
     return enclose(lo_sq), enclose(hi_sq)

@@ -40,10 +40,10 @@ class SideLabel(Enum):
 @dataclass(frozen=True, slots=True)
 class DeckItem:
     """One piece of a decomposition deck: a tile side, or the marker that
-    stands in for the outside along partial boundary edges."""
+    stands in for the outside along partial boundary edges (on the grid)."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
     side: tuple[int, int] | None    # (tile, side index); None = boundary marker
     a: Point
     b: Point
@@ -60,8 +60,8 @@ class DeckItem:
 
 @dataclass(frozen=True)
 class Stretch:
-    line: LineKey
-    a: Point
+    line: LineKey                   # on the grid
+    a: Point                        # rational, like the patch
     b: Point
     above: tuple[DeckItem, ...]
     below: tuple[DeckItem, ...]
@@ -106,11 +106,12 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
     way (which, by definition, belong to no stretch)."""
     stretches: list[Stretch] = []
     shared: list[tuple[int, int, tuple[Point, Point]]] = []
+    pt = g.patch.grid.point
 
-    for key in sorted(g.soup.lines):
+    for key, grp in g.soup.lines.items():
         above: list[DeckItem] = []
         below: list[DeckItem] = []
-        for edge in g.soup.lines[key].edges:
+        for edge in grp.edges:
             for deck, sign in ((above, 1), (below, -1)):
                 if not deck or deck[-1].hi == edge.lo:
                     deck.append(_deck_item(edge, sign))
@@ -124,7 +125,7 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
                 # identical decompositions: shared side or full boundary side
                 if pa[0].is_side and pb[0].is_side:
                     t1, t2 = pa[0].side[0], pb[0].side[0]
-                    shared.append((min(t1, t2), max(t1, t2), (pa[0].a, pa[0].b)))
+                    shared.append((min(t1, t2), max(t1, t2), (pt(pa[0].a), pt(pa[0].b))))
                 continue
             n_sides = sum(1 for i in pa + pb if i.is_side)
             if n_sides < len(pa) + len(pb):
@@ -133,7 +134,7 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
                 klass = StretchClass.TIGHT
             else:
                 klass = StretchClass.LOOSE_PROPER
-            stretches.append(Stretch(key, pa[0].a, pa[-1].b, pa, pb, n_sides, klass))
+            stretches.append(Stretch(key, pt(pa[0].a), pt(pa[-1].b), pa, pb, n_sides, klass))
 
     return stretches, sorted(shared, key=lambda s: (s[0], s[1]))
 
@@ -164,7 +165,7 @@ def eq1_audit(g: IncidenceGraph) -> AuditRecord:
     a side, also checks the corollary that forces v_bd = 3.
     """
     rec = AuditRecord("eq1-audit")
-    if not is_convex(g.region):
+    if not is_convex(g.outline):
         rec.not_applicable("vertex_identity", "region not convex")
         return rec
     lhs = g.v_bd + 2 * g.v_int - g.v_star_int
@@ -203,13 +204,14 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
     """Minimum over tiles of (two shorter sides minus the longest side).
 
     Congruent tiles have equal margins, so one margin is measured per
-    shape (squared side lengths), in tile order; on a tie the first tile's
-    margin, and so its written form, wins.
+    shape (squared side lengths on the grid), in tile order; on a tie the
+    first tile's margin, and so its written form, wins.
     """
     if not patch.tiles:
         raise ValueError("empty patch")
-    shapes = dict.fromkeys(t.squared_sides() for t in patch.tiles)
-    return min((LengthExpr.sqrt(s1) + LengthExpr.sqrt(s2)) - LengthExpr.sqrt(s3)
+    grid = patch.grid
+    shapes = dict.fromkeys(t.squared_sides() for t in grid.tiles)
+    return min((grid.length(s1) + grid.length(s2)) - grid.length(s3)
                for s1, s2, s3 in shapes)
 
 
@@ -239,6 +241,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     """
     rec = AuditRecord("w-audit")
     stretches, labels, eps2 = g.decomposition[0], g.labels, g.eps2
+    grid = g.patch.grid
     sigma = sum(1 for s in stretches if s.klass is StretchClass.TIGHT)
     loose = sum(s.size for s in stretches if s.klass is not StretchClass.TIGHT)
 
@@ -269,8 +272,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
         sq1, sq2 = sq_dist(s1.a, s1.b), sq_dist(s2.a, s2.b)
         if not (long_sq > sq1 and long_sq > sq2):
             ties_ok = False
-        pieces.append(LengthExpr.sqrt(sq1) + LengthExpr.sqrt(sq2)
-                      - LengthExpr.sqrt(long_sq))
+        pieces.append(grid.length(sq1) + grid.length(sq2) - grid.length(long_sq))
     rec.check("tight_length_cancellation", all(p.is_zero() for p in pieces))
     rec.check("long_side_strictly_longest", ties_ok)
 
@@ -287,21 +289,21 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     checks = {"type1_nonnegative": True, "type0_zero": True,
               "type2_bound": True, "type3_value": True,
               "exceptional_bound": True, "unit_perimeter": True}
-    for i, tile in enumerate(g.tiles):
+    for i, tile in enumerate(grid.tiles):
         kinds = [labels[(i, s)] for s in range(3)]
         n = kinds.count(SideLabel.LONG)
         # each long side adds 2/3 - eps2 - length, each short one length - 1/3
         contrib = LengthExpr.sum([
             LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)),
             eps2 * -n,
-            *(LengthExpr.sqrt(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
+            *(grid.length(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
               for (p, q), kind in zip(tile.sides(), kinds) if kind is not SideLabel.NONE)])
         contributions.append(contrib)
 
         if SideLabel.NONE in kinds:
             type_counts["exceptional"] += 1
             if unit_perimeter:
-                bound = tile.perimeter() * Fraction(-2, 3)
+                bound = grid.perimeter(tile) * Fraction(-2, 3)
                 if contrib < bound:
                     checks["exceptional_bound"] = False
             continue
@@ -309,13 +311,13 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
         if n == 1 and contrib.sign() < 0:
             checks["type1_nonnegative"] = False
         if unit_perimeter:
-            perim = tile.perimeter()
+            perim = grid.perimeter(tile)
             if perim != one:
                 checks["unit_perimeter"] = False
             if n == 0 and not contrib.is_zero():
                 checks["type0_zero"] = False
             if n == 2:
-                min_side = LengthExpr.sqrt(tile.squared_sides()[0])
+                min_side = grid.length(tile.squared_sides()[0])
                 bound = min_side * 2 - eps2 * 2
                 if contrib < bound:
                     checks["type2_bound"] = False

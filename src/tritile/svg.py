@@ -3,12 +3,11 @@
 Output is a pure function of the patch and options: fixed 9-significant-
 digit decimal coordinates (display only, the model stays exact), one
 polygon per tile in tile order, optional stretch overlay and s/l labels
-on tight-stretch sides.
+on tight-stretch sides.  A pixel coordinate is one int quotient on the
+patch's grid, which Python rounds correctly to the nearest float.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .geometry import Point
 from .incidence import build_incidence
@@ -33,25 +32,26 @@ def render_svg(patch: TilingPatch, *, width_px: int = 800,
                label_long_short: bool = False) -> bytes:
     if not patch.tiles:
         raise ValueError("empty patch")
-    xs = [p.x for t in patch.tiles for p in t.vertices]
-    ys = [p.y for t in patch.tiles for p in t.vertices]
+    tiles = patch.grid.tiles
+    xs = [p.x for t in tiles for p in t.vertices]
+    ys = [p.y for t in tiles for p in t.vertices]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
+    # pad span/20 per side: x is (20 * (x - min_x) + span) * width_px / den
     span = max(max_x - min_x, max_y - min_y)
-    pad = span / 20
-    scale = Fraction(width_px) / (max_x - min_x + 2 * pad)
-    height_px = float((max_y - min_y + 2 * pad) * scale)
+    den = 20 * (max_x - min_x) + 2 * span
+    height_px = (20 * (max_y - min_y) + 2 * span) * width_px / den
 
-    def to_px(p: Point) -> tuple[float, float]:
-        return (float((p.x - min_x + pad) * scale),
-                float((max_y - p.y + pad) * scale))
+    def to_px(p: Point, k: int = 1) -> tuple[float, float]:
+        return ((20 * (p.x - k * min_x) + k * span) * width_px / (k * den),
+                (20 * (k * max_y - p.y) + k * span) * width_px / (k * den))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
         f'height="{_fmt(height_px)}" viewBox="0 0 {width_px} {_fmt(height_px)}">',
     ]
-    for t in patch.tiles:
+    for t in tiles:
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(to_px, t.vertices))
         out.append(f'<polygon points="{pts}" fill="{_TILE_FILL}" '
                    f'stroke="{_STROKE}" stroke-width="1"/>')
@@ -60,7 +60,8 @@ def render_svg(patch: TilingPatch, *, width_px: int = 800,
         stretches, _ = build_incidence(patch).decomposition
         if stretch_overlay:
             for st in stretches:
-                (x1, y1), (x2, y2) = to_px(st.a), to_px(st.b)
+                # st.a and st.b, on the grid, are the ends of its upper deck
+                (x1, y1), (x2, y2) = to_px(st.above[0].a), to_px(st.above[-1].b)
                 out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                            f'{_CLASS_STYLE[st.klass]} stroke-width="2.5" '
@@ -71,12 +72,10 @@ def render_svg(patch: TilingPatch, *, width_px: int = 800,
                     continue
                 items = [(st.long_item, "l")] + [(i, "s") for i in st.short_items]
                 for item, text in items:
-                    tile = patch.tiles[item.side[0]]
-                    cx = (tile.a.x + tile.b.x + tile.c.x) / 3
-                    cy = (tile.a.y + tile.b.y + tile.c.y) / 3
-                    mx = (item.a.x + item.b.x) / 2
-                    my = (item.a.y + item.b.y) / 2
-                    x, y = to_px(Point(mx + (cx - mx) / 6, my + (cy - my) / 6))
+                    # 36 * (5 * side midpoint + tile centroid) / 6
+                    a, b, c = tiles[item.side[0]].vertices
+                    x, y = to_px(Point(15 * (item.a.x + item.b.x) + 2 * (a.x + b.x + c.x),
+                                       15 * (item.a.y + item.b.y) + 2 * (a.y + b.y + c.y)), 36)
                     out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" '
                                f'font-size="11" text-anchor="middle" '
                                f'fill="#103010">{text}</text>')

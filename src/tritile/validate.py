@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .geometry import Point, cross, point_on_segment_interior
+from .geometry import Point, cross, point_on_segment_interior, twice_area
 from .incidence import AtomicEdge, EdgeSoup, build_soup, line_through, line_pos
-from .model import TilingPatch, polygon_area
+from .model import TilingPatch
 
 OVERLAP = "OVERLAP"
 UNMATCHED_EDGE = "UNMATCHED_EDGE"
@@ -54,8 +55,10 @@ class ValidationReport:
     ok: bool
     violations: list[Violation]
     derived_region: tuple[Point, ...] | None
-    # the soup the checks ran on, handed over to the incidence graph
+    # the soup the checks ran on and the derived region on the grid,
+    # handed over to the incidence graph
     soup: EdgeSoup | None = field(default=None, repr=False, compare=False)
+    outline: tuple[Point, ...] | None = field(default=None, repr=False, compare=False)
 
     def render(self) -> str:
         lines = [f"valid = {'yes' if self.ok else 'no'}"]
@@ -116,7 +119,7 @@ def _proper_crossing(p: Point, q: Point, r: Point, s: Point) -> Point | None:
     o4 = cross(r, s, q)
     if o3 == 0 or o4 == 0 or (o3 > 0) == (o4 > 0):
         return None
-    return p + (q - p).scale(o3 / (o3 - o4))
+    return p + (q - p).scale(Fraction(o3, o3 - o4))
 
 
 def _simplicity_faults(segments: list[tuple[Point, Point]]
@@ -173,7 +176,7 @@ def _directed_boundary(edge: AtomicEdge) -> tuple[Point, Point]:
     return (a, b) if (sgn > 0) == (left_normal_dot > 0) else (b, a)
 
 
-def _walk_boundary(boundary: list[AtomicEdge]) -> tuple[list[list[Point]], list[Violation]]:
+def _walk_boundary(boundary: list[AtomicEdge], pt) -> tuple[list[list[Point]], list[Violation]]:
     """The boundary cycles, or none and a NOT_SIMPLE violation for each
     vertex without exactly one boundary edge in and one out."""
     out_map: dict[Point, list[Point]] = {}
@@ -185,7 +188,7 @@ def _walk_boundary(boundary: list[AtomicEdge]) -> tuple[list[list[Point]], list[
         out_map.setdefault(b, [])
 
     pinched = [Violation(NOT_SIMPLE, (),
-                         f"boundary pinched at {p} (out={len(out_map[p])}, in={in_count.get(p, 0)})")
+                         f"boundary pinched at {pt(p)} (out={len(out_map[p])}, in={in_count.get(p, 0)})")
                for p in sorted(out_map, key=Point.key)
                if len(out_map[p]) != 1 or in_count.get(p, 0) != 1]
     if pinched:
@@ -207,21 +210,21 @@ def _walk_boundary(boundary: list[AtomicEdge]) -> tuple[list[list[Point]], list[
     return cycles, []
 
 
-def _check_region_polygon(region: tuple[Point, ...]) -> list[Violation]:
+def _check_region_polygon(region: tuple[Point, ...], pt) -> list[Violation]:
     bad: list[Violation] = []
     n = len(region)
     if n < 3:
         return [Violation(REGION_INVALID, (), "fewer than 3 vertices")]
     if len(set(region)) != n:
         return [Violation(REGION_INVALID, (), "repeated vertex")]
-    if polygon_area(region) <= 0:
+    if twice_area(region) <= 0:
         bad.append(Violation(REGION_INVALID, (), "not counterclockwise"))
     sides = [(region[i], region[(i + 1) % n]) for i in range(n)]
     crossings, contacts = _simplicity_faults(sides)
     for i, j, _ in crossings:
         bad.append(Violation(REGION_INVALID, (), f"sides {i} and {j} cross"))
     for i, p in sorted(contacts, key=lambda c: (region.index(c[1]), c[0])):
-        bad.append(Violation(REGION_INVALID, (), f"vertex {p} inside side {i}"))
+        bad.append(Violation(REGION_INVALID, (), f"vertex {pt(p)} inside side {i}"))
     return bad
 
 
@@ -239,21 +242,39 @@ def _region_line_spans(region: tuple[Point, ...]):
     return spans
 
 
+def _count_parts(n: int, groups) -> int:
+    """Classes of the tiles 0..n-1 when each group joins its tiles."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for group in groups:
+        for j in group[1:]:
+            root[find(j)] = find(group[0])
+    return sum(root[i] == i for i in range(n))
+
+
 def validate_patch(patch: TilingPatch) -> ValidationReport:
-    """Run every validity check and report all violations found."""
+    """Run every validity check, on the patch's grid, and report all
+    violations found, each point in them divided back by ``grid.point``."""
     violations: list[Violation] = []
     if not patch.tiles:
         return ValidationReport(False, [Violation(EMPTY, (), "patch has no tiles")], None)
+    grid = patch.grid
+    pt = grid.point
 
     # the stated region in canonical form, if it is a valid polygon
     canonical: tuple[Point, ...] | None = None
-    if patch.region is not None:
-        region_problems = _check_region_polygon(patch.region)
+    if grid.region is not None:
+        region_problems = _check_region_polygon(grid.region, pt)
         violations.extend(region_problems)
         if not region_problems:
-            canonical = canonical_polygon(patch.region)
+            canonical = canonical_polygon(grid.region)
 
-    soup = build_soup(patch.tiles)
+    soup = build_soup(grid.tiles)
 
     region_spans = _region_line_spans(canonical) if canonical is not None else None
     boundary: list[AtomicEdge] = []
@@ -262,12 +283,12 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
         if n > 2:
             violations.append(Violation(
                 OVERLAP, tuple(sorted(edge.tiles)),
-                f"{n} sides stacked on edge {edge.a}-{edge.b}"))
+                f"{n} sides stacked on edge {pt(edge.a)}-{pt(edge.b)}"))
         elif n == 2:
             if edge.incidences[0].sign == edge.incidences[1].sign:
                 violations.append(Violation(
                     OVERLAP, tuple(sorted(edge.tiles)),
-                    f"tiles on the same side of edge {edge.a}-{edge.b}"))
+                    f"tiles on the same side of edge {pt(edge.a)}-{pt(edge.b)}"))
         else:
             boundary.append(edge)
             if region_spans is not None:
@@ -276,26 +297,25 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                                             for lo, hi in spans):
                     violations.append(Violation(
                         UNMATCHED_EDGE, tuple(edge.tiles),
-                        f"edge {edge.a}-{edge.b} borders one tile off the region boundary"))
+                        f"edge {pt(edge.a)}-{pt(edge.b)} borders one tile off the region boundary"))
 
-    cycles, pinched = _walk_boundary(boundary)
+    cycles, pinched = _walk_boundary(boundary, pt)
     violations.extend(pinched)
-    geometric: list[Violation] = []
-    if not pinched:
-        geometric = _geometric_boundary_checks(boundary)
-        violations.extend(geometric)
+    geometric, joined = _geometric_boundary_checks(boundary, soup, pt)
+    violations.extend(geometric)
 
-    derived: tuple[Point, ...] | None = None
+    outline: tuple[Point, ...] | None = None
+    nested: list[list[Point]] = []
     if not pinched and not geometric and cycles:
-        areas = [polygon_area(tuple(c)) for c in cycles]
+        areas = [twice_area(c) for c in cycles]
         if len(cycles) == 1:
-            derived = canonical_polygon(tuple(cycles[0]))
+            outline = canonical_polygon(tuple(cycles[0]))
         else:
             positive = [c for c, ar in zip(cycles, areas) if ar > 0]
             for c, ar in zip(cycles, areas):
                 if ar <= 0:
                     violations.append(Violation(
-                        HOLE, (), f"interior boundary cycle through {c[0]}"))
+                        HOLE, (), f"interior boundary cycle through {pt(c[0])}"))
             if len(positive) > 1:
                 # a component is nested iff the cycles around its first
                 # vertex, +1 for each outer and -1 for each hole, do not cancel
@@ -303,41 +323,54 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                           if sum((1 if ar > 0 else -1) for cj, ar in zip(cycles, areas)
                                  if cj is not ci and point_in_polygon(ci[0], tuple(cj)) >= 0)]
                 violations.extend(
-                    Violation(OVERLAP, (), f"component through {ci[0]} nested inside another")
+                    Violation(OVERLAP, (), f"component through {pt(ci[0])} nested inside another")
                     for ci in nested)
-                if not nested:
-                    violations.append(Violation(
-                        DISCONNECTED, (), f"{len(positive)} separate components"))
 
-    if derived is not None:
-        area_sum = patch.tile_area_sum()
-        enclosed = polygon_area(derived)
-        if area_sum != enclosed:
+    if outline is None and not nested:
+        # parts with no common point: tiles are joined by a shared vertex
+        # (a corner, or a corner inside a side), by crossing edges and by
+        # a corner touching an edge
+        parts = _count_parts(len(grid.tiles), [
+            *(tiles + [t for t, _ in soup.vertex_subdivides.get(p, ())]
+              for p, tiles in soup.corner_tiles.items()), *joined])
+        if parts > 1:
+            violations.append(Violation(DISCONNECTED, (), f"{parts} separate components"))
+
+    if outline is not None:
+        tiles2, enclosed2 = sum(cross(*t.vertices) for t in grid.tiles), twice_area(outline)
+        if tiles2 != enclosed2:
             violations.append(Violation(
                 AREA_MISMATCH, (),
-                f"tile areas sum to {area_sum}, boundary encloses {enclosed}"))
-        if canonical is not None and canonical != derived:
+                f"tile areas sum to {Fraction(tiles2, 2 * grid.scale ** 2)}, "
+                f"boundary encloses {Fraction(enclosed2, 2 * grid.scale ** 2)}"))
+        if canonical is not None and canonical != outline:
             violations.append(Violation(
                 REGION_MISMATCH, (), "derived boundary differs from region"))
 
-    return ValidationReport(not violations, violations, derived, soup)
+    derived = None if outline is None else tuple(map(pt, outline))
+    return ValidationReport(not violations, violations, derived, soup, outline)
 
 
-def _geometric_boundary_checks(boundary: list[AtomicEdge]) -> list[Violation]:
+def _geometric_boundary_checks(boundary: list[AtomicEdge], soup: EdgeSoup, pt
+                               ) -> tuple[list[Violation], list[list[int]]]:
     """Reject boundary cycles that are simple combinatorially but not
     geometrically: crossing edges mean overlapping tiles, a vertex inside
-    an edge means a pinched region."""
+    an edge means a pinched region.  Also returns, per fault, the tiles
+    that it shows to have a common point."""
     crossings, contacts = _simplicity_faults([(e.a, e.b) for e in boundary])
     bad: list[Violation] = []
+    joined: list[list[int]] = []
     for i, j, x in crossings:
         tiles = boundary[i].tiles + boundary[j].tiles
+        joined.append(tiles)
         bad.append(Violation(
-            OVERLAP, tuple(sorted(set(tiles))), f"boundary edges cross at {x}"))
+            OVERLAP, tuple(sorted(set(tiles))), f"boundary edges cross at {pt(x)}"))
     for i, p in contacts:
+        joined.append(boundary[i].tiles + soup.corner_tiles[p])
         bad.append(Violation(
             NOT_SIMPLE, tuple(boundary[i].tiles),
-            f"boundary touches itself at {p}"))
-    return bad
+            f"boundary touches itself at {pt(p)}"))
+    return bad, joined
 
 
 def derive_region(patch: TilingPatch) -> tuple[Point, ...]:

@@ -53,6 +53,36 @@ class TestGenerate:
         assert code == 1 and "error" in err
 
 
+class TestNegativeValues:
+    """An option value that starts with a minus sign is a value, as in the
+    `--opt=value` form: same stdout, exit code and output file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "recursive", "--base", "-1,0,1,0,0,1", "--depth", "2"],
+        ["generate", "pair", "--triangle", "-1,0,4,0,1,3"],
+        ["generate", "recursive", "--t", "-3/2"],
+    ])
+    def test_generate(self, tmp_path, argv):
+        out = tmp_path / "a.til"
+        results = []
+        for form in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
+            out.unlink(missing_ok=True)
+            results.append((run(form + ["-o", str(out)], tmp_path),
+                            out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+
+    def test_negative_expansion_factor_is_the_generators_error(self, tmp_path):
+        code, _, err = run(["generate", "recursive", "--t", "-3/2",
+                            "-o", str(tmp_path / "x.til")], tmp_path)
+        assert code == 1 and err == "error: expansion factor must exceed 1\n"
+
+    def test_disk_left_of_the_origin(self, til, tmp_path):
+        path = til("a.til", "generate", "recursive", "--depth", "3")
+        spaced = run(["audit", path, "--disk", "-1,0,1"], tmp_path)
+        assert spaced[0] == 0 and "[extraction]" in spaced[1]
+        assert run(["audit", path, "--disk=-1,0,1"], tmp_path) == spaced
+
+
 class TestValidate:
     def test_good_file_exit_0(self, til, tmp_path):
         path = til("a.til", "generate", "recursive", "--depth", "1")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,7 +58,13 @@ def fill_oracle(ambient: TilingPatch, selected: set[int]) -> set[int] | None:
             frontier.append(w)
     if seen != selected:
         return None
+    return holes_filled(ambient, selected)
 
+
+def holes_filled(ambient: TilingPatch, selected: set[int]) -> set[int]:
+    """The selection plus every complementary component, by side adjacency
+    among unselected tiles, that has no ambient boundary edge."""
+    graph = build_incidence(ambient)
     on_ambient_boundary = {e.incidences[0].tile for e in graph.boundary_edges}
     unseen = set(range(graph.t)) - selected
     result = set(selected)
@@ -196,6 +203,35 @@ class TestFillHoles:
         with pytest.raises(RegionError) as err:
             fill_holes(patch, {0, len(patch.tiles) - 1})
         assert err.value.kind == DISCONNECTED
+
+    def test_disconnected_selections_rejected_as_disconnected(self):
+        # random selections whose tiles, holes filled, fall apart by vertex
+        # contact, pinched parts among them: the kind is DISCONNECTED every time
+        rng = random.Random(9)
+        ambients = [parse_tiling((GOLDEN / f"{name}.til").read_text())
+                    for name in ("twoscale-2", "recursive-4", "convex-6")]
+        ambients += [fixtures.rect_l_shape(), fixtures.notched_split(), fixtures.offset_quad(),
+                     two_scale(3, 2)]
+        tried = 0
+        for ambient in ambients:
+            n = len(ambient.tiles)
+            for _ in range(60):
+                selected = set(rng.sample(range(n), rng.randint(2, max(2, n // 3))))
+                filled = holes_filled(ambient, selected)
+                seen, stack = {min(filled)}, [min(filled)]
+                while stack:
+                    t = ambient.tiles[stack.pop()]
+                    for j in filled - seen:
+                        if closures_touch(t, ambient.tiles[j]):
+                            seen.add(j)
+                            stack.append(j)
+                if seen == filled:
+                    continue
+                tried += 1
+                with pytest.raises(RegionError) as err:
+                    fill_holes(ambient, selected)
+                assert err.value.kind == DISCONNECTED, (ambient.tiles[:1], sorted(selected))
+        assert tried >= 150
 
     def test_nested_selection_filled(self):
         # the inner tile lies in the hole of the outer ring of three

@@ -34,9 +34,12 @@ CASES = {
     "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/4"),
 }
 
-#: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each
-INVALID = ("annulus", "bowtie", "clockwise-region", "comb", "crossing", "crossing-region",
-           "disconnected", "island", "missing-tile", "spike-region", "star-region", "touching")
+#: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each.  Each
+#: `<name>-frac` is `<name>` mapped by x -> x/3 + (1/5, 0), so that every
+#: point in its report has a denominator
+_INVALID = ("annulus", "bowtie", "clockwise-region", "comb", "crossing", "crossing-region",
+            "disconnected", "island", "missing-tile", "spike-region", "star-region", "touching")
+INVALID = _INVALID + tuple(f"{name}-frac" for name in _INVALID) + ("pinched-disconnected",)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

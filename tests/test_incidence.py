@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
                      apply_affine, build_incidence, gen_recursive_split,
                      graph_audit, parse_tiling, point_on_segment_interior)
+from tritile.incidence import build_soup
 
 import fixtures
 
@@ -233,3 +236,93 @@ class TestInvariance:
         for u, ns in adj.items():
             for w in ns:
                 assert u in adj[w]
+
+
+# The rational edge soup, as the library built it before it moved to the
+# integer grid: the oracle for the grid soup's lines, their order, the
+# atomic edges and the vertex facts.
+
+def rational_line_through(p: Point, q: Point):
+    """Coefficients (A, B, C) of A*x + B*y + C = 0, leading one scaled to 1."""
+    a = q.y - p.y
+    b = p.x - q.x
+    c = -(a * p.x + b * p.y)
+    if a != 0:
+        return (F(1), b / a, c / a)
+    return (F(0), F(1), c / b)
+
+
+def rational_line_pos(key, p: Point) -> Fraction:
+    return p.y if key[0] == 1 and key[1] == 0 else p.x
+
+
+def rational_soup(tiles):
+    """(line keys in order, edges as (a, b, [(tile, index, sign)]) in order,
+    corner_tiles, vertex_subdivides), all on the tiles' own rationals."""
+    corner_tiles = {}
+    for i, t in enumerate(tiles):
+        for p in t.vertices:
+            corner_tiles.setdefault(p, []).append(i)
+    lines = {}
+    for i, t in enumerate(tiles):
+        verts = t.vertices
+        for s in range(3):
+            p, q, r = verts[s], verts[(s + 1) % 3], verts[(s + 2) % 3]
+            key = rational_line_through(p, q)
+            sign = 1 if key[0] * r.x + key[1] * r.y + key[2] > 0 else -1
+            kp, kq = rational_line_pos(key, p), rational_line_pos(key, q)
+            lines.setdefault(key, []).append(
+                (i, s, p, q, kp, kq, sign) if kp <= kq else (i, s, q, p, kq, kp, sign))
+    edges, subdivides = [], {}
+    for key in sorted(lines):
+        pts = {}
+        for _, _, a, b, lo, hi, _ in lines[key]:
+            pts[lo], pts[hi] = a, b
+        positions = sorted(pts)
+        edge_map = {}
+        for tile, index, _, _, lo, hi, sign in lines[key]:
+            cuts = positions[bisect_right(positions, lo):bisect_left(positions, hi)]
+            for c in cuts:
+                subdivides.setdefault(pts[c], []).append((tile, index))
+            seq = [lo, *cuts, hi]
+            for u, w in zip(seq, seq[1:]):
+                edge_map.setdefault((u, w), (pts[u], pts[w], []))[2].append((tile, index, sign))
+        edges += [edge_map[k] for k in sorted(edge_map)]
+    return sorted(lines), edges, corner_tiles, subdivides
+
+
+def grid_soup_in_rationals(patch: TilingPatch):
+    """The library's soup on the patch's grid, in rational_soup's terms."""
+    grid = patch.grid
+    soup = build_soup(grid.tiles)
+    pt, d = grid.point, grid.scale
+    for a, b, _ in soup.lines:
+        assert math.gcd(a, b) == 1 and (a > 0 or (a == 0 and b > 0)), (a, b)
+    # A*X + B*Y + C = 0 with X = d*x is x + (B/A)*y + C/(A*d) = 0
+    lines = [(F(1), F(b, a), F(c, a * d)) if a else (F(0), F(1), F(c, b * d))
+             for a, b, c in soup.lines]
+    edges = [(pt(e.a), pt(e.b), [(r.tile, r.index, r.sign) for r in e.incidences])
+             for e in soup.edges]
+    return (lines, edges, {pt(p): tiles for p, tiles in soup.corner_tiles.items()},
+            {pt(p): sides for p, sides in soup.vertex_subdivides.items()})
+
+
+def _grid_corpus():
+    from test_random_patches import random_refined_patch
+    corpus = [parse_tiling(path.read_bytes()) for path in sorted(GOLDEN.glob("*.til"))]
+    corpus += [make() for make in (fixtures.square_diag, fixtures.rect_l_shape,
+                                   fixtures.notched_split, fixtures.offset_quad,
+                                   fixtures.bowtie, fixtures.annulus)]
+    corpus += [random_refined_patch(seed) for seed in range(50)]
+    return corpus
+
+
+def test_grid_soup_matches_rational_oracle():
+    rng = random.Random(7)
+    shrink = ((F(1, 7), F(0)), (F(0), F(1, 7)))
+    for patch in _grid_corpus():
+        tiles = list(patch.tiles)
+        rng.shuffle(tiles)
+        for variant in (patch, TilingPatch(tuple(tiles), patch.region),
+                        apply_affine(patch, shrink, (F(1, 3), F(-2, 5)))):
+            assert grid_soup_in_rationals(variant) == rational_soup(variant.tiles)

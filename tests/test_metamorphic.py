@@ -22,11 +22,16 @@ from test_random_patches import random_refined_patch
 F = Fraction
 P = Point.of
 SCALE_3 = ((F(3), F(0)), (F(0), F(3)))
-#: isometries with rational entries; the quarter turn makes horizontal lines vertical
+#: a scale whose images need a larger common denominator than the input
+SCALE_1_7 = ((F(1, 7), F(0)), (F(0), F(1, 7)))
+ORIGIN = (F(0), F(0))
+#: isometries with rational entries, as (matrix, translation); the quarter
+#: turn makes horizontal lines vertical
 ISOMETRIES = {
-    "quarter-turn": ((F(0), F(-1)), (F(1), F(0))),
-    "rotation-3-4-5": ((F(3, 5), F(-4, 5)), (F(4, 5), F(3, 5))),
-    "reflection": ((F(1), F(0)), (F(0), F(-1))),
+    "quarter-turn": (((F(0), F(-1)), (F(1), F(0))), ORIGIN),
+    "rotation-3-4-5": (((F(3, 5), F(-4, 5)), (F(4, 5), F(3, 5))), ORIGIN),
+    "reflection": (((F(1), F(0)), (F(0), F(-1))), ORIGIN),
+    "translation": (((F(1), F(0)), (F(0), F(1))), (F(1, 3), F(-2, 5))),
 }
 INTEGER = re.compile(r"-?[0-9]+")
 
@@ -87,6 +92,9 @@ def test_audits_keep_their_verdicts_under_permutation_and_scaling():
             scaled = apply_affine(moved, SCALE_3)
             assert _statuses(scaled) == want
             assert epsilon2(scaled) == eps2 * 3
+            shrunk = apply_affine(moved, SCALE_1_7)
+            assert _statuses(shrunk) == want
+            assert epsilon2(shrunk) == eps2 * F(1, 7)
         w_passes += ("w-audit", "w_routes_agree", Status.PASS) in want
     # the share-free recursive and two-scale patches, where W applies
     assert w_passes >= 7
@@ -98,7 +106,7 @@ def test_isometries_and_round_trip_keep_verdicts_eps2_and_stretches(move):
         if move == "round-trip":
             moved = parse_tiling(serialize_tiling(patch))
         else:
-            moved = apply_affine(patch, ISOMETRIES[move])
+            moved = apply_affine(patch, *ISOMETRIES[move])
         assert _verdicts(moved) == _verdicts(patch)
         assert epsilon2(moved) == epsilon2(patch)
         assert _stretch_profile(moved) == _stretch_profile(patch)

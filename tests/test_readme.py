@@ -25,7 +25,7 @@ def test_cli_block_runs(tmp_path, monkeypatch):
     blocks = re.findall(r"```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     lines = [line for block in blocks if "tritile generate" in block
              for line in block.splitlines() if line.startswith("tritile ")]
-    assert len(lines) == 11
+    assert len(lines) == 12
     monkeypatch.chdir(tmp_path)
     for line in lines:
         with redirect_stdout(io.StringIO()):

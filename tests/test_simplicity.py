@@ -104,7 +104,7 @@ def _integer_segments(pairs):
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.til")), ids=lambda p: p.stem)
 def test_sweep_matches_oracle_on_golden_inputs(path):
     patch = parse_tiling(path.read_text())
-    chains = [[(e.a, e.b) for e in build_soup(patch.tiles).edges if len(e.incidences) == 1]]
+    chains = [[(e.a, e.b) for e in build_soup(patch.grid.tiles).edges if len(e.incidences) == 1]]
     if patch.region is not None:
         n = len(patch.region)
         chains.append([(patch.region[k], patch.region[(k + 1) % n]) for k in range(n)])

@@ -53,8 +53,7 @@ def brute_force_composite_sides(g):
     """Per-line scan: a side is composite when the sides on the opposite
     deck of its line tile its span exactly, each lying entirely within it."""
     result = []
-    for key in sorted(g.soup.lines):
-        grp = g.soup.lines[key]
+    for grp in g.soup.lines.values():
         for ref in grp.sides:
             opposite = sorted(
                 (o for o in grp.sides
@@ -82,8 +81,8 @@ def joint_cut_decomposition(g):
     into connected runs; each run is split into its above and below decks
     and cut where both decks have an item endpoint."""
     stretches, shared = [], []
-    for key in sorted(g.soup.lines):
-        grp = g.soup.lines[key]
+    pt = g.patch.grid.point
+    for key, grp in g.soup.lines.items():
         tagged = [(ref.sign, DeckItem(ref.lo, ref.hi, (ref.tile, ref.index), ref.a, ref.b))
                   for ref in grp.sides]
         tagged += [(-e.incidences[0].sign, DeckItem(e.lo, e.hi, None, e.a, e.b))
@@ -122,7 +121,7 @@ def joint_cut_decomposition(g):
                 if len(pa) == 1 and len(pb) == 1:
                     if pa[0].is_side and pb[0].is_side:
                         t1, t2 = pa[0].side[0], pb[0].side[0]
-                        shared.append((min(t1, t2), max(t1, t2), (pa[0].a, pa[0].b)))
+                        shared.append((min(t1, t2), max(t1, t2), (pt(pa[0].a), pt(pa[0].b))))
                     continue
                 n_sides = sum(1 for i in pa + pb if i.is_side)
                 if any(not i.is_side for i in pa + pb):
@@ -133,7 +132,7 @@ def joint_cut_decomposition(g):
                     klass = StretchClass.LOOSE_PROPER
                 a_pt = pa[0].a if pa[0].lo == plo else pb[0].a
                 b_pt = pa[-1].b if pa[-1].hi == phi else pb[-1].b
-                stretches.append(Stretch(key, a_pt, b_pt, tuple(pa), tuple(pb),
+                stretches.append(Stretch(key, pt(a_pt), pt(b_pt), tuple(pa), tuple(pb),
                                          n_sides, klass))
     return stretches, sorted(set(shared), key=lambda s: (s[0], s[1]))
 
