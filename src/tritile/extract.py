@@ -8,8 +8,8 @@ materialize.  The predicates run on the ambient grid, the disk scaled into it.
 Each step reads the ambient incidence graph: the holes are the tiles the
 ambient boundary cannot reach through unselected tiles (one search over
 ``adjacency``), the ring is the tiles that share a vertex with the piece
-(``incident_tiles``), and connectivity is decided by the piece's own
-validation.
+(the soup's ``incident_tiles``), and connectivity is decided by the
+piece's own validation.
 """
 
 from __future__ import annotations
@@ -91,14 +91,12 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
 def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
     """Ambient tiles outside the patch that share a vertex with it (corner
     or mid-side), which in a tiling is every tile whose closure touches it."""
-    graph = build_incidence(ambient)
     index = {t: i for i, t in enumerate(ambient.grid.tiles)}
-    k, rest = divmod(ambient.grid.scale, patch.grid.scale)  # a subset's grid is coarser
-    inside = {index.get(Triangle(*(p.scale(k) for p in t.vertices))) for t in patch.grid.tiles}
-    if rest or None in inside:
+    inside = {index.get(Triangle(*map(ambient.grid.of, t.vertices))) for t in patch.tiles}
+    if None in inside:
         raise ValueError("patch is not a tile subset of the ambient patch")
-    ring = {t for tiles in graph.incident_tiles.values() if not tiles.isdisjoint(inside)
-            for t in tiles} - inside
+    ring = {t for tiles in build_incidence(ambient).soup.incident_tiles.values()
+            if not tiles.isdisjoint(inside) for t in tiles} - inside
     return sorted(ring)
 
 

@@ -11,16 +11,17 @@ interior to a side is such an endpoint (the tiles opposite the side must
 terminate there), and for invalid input the soup still supports the
 validator's certificate.
 
-Each incidence fact has one owner.  :func:`build_soup` splits the sides
-and records which sides each vertex subdivides; it does not class the
-edges.  An edge is on the boundary iff one side covers it, and a boundary
-edge is full iff that side spans it, partial otherwise.
-:mod:`tritile.validate` certifies that the boundary edges form one simple
-counterclockwise cycle and derives the region from it.  The
-:class:`IncidenceGraph` wraps the validator's soup for a *valid* patch
-and adds only the boundary edges and their vertices; every count (v, e,
-v*, v_bd, e_full, e_part) is read from the soup or from those two.  It
-is built once per patch and caches what later layers derive from it
+Each incidence fact has one record, made once by its owner.
+:func:`build_soup` makes one :class:`SideRef` per side, which the stretch
+decks hold too (the outside along a boundary edge is a ``SideRef`` with
+no tile), splits the sides, records which sides each vertex subdivides
+and keeps the vertex->tiles map ``incident_tiles``.  An edge is on the
+boundary iff one side covers it, and a boundary edge is full iff that
+side spans it, partial otherwise.  :mod:`tritile.validate` lists the
+boundary edges, certifies that they form one simple counterclockwise
+cycle and derives the region from it.  The :class:`IncidenceGraph` of a
+*valid* patch reads every count (v, e, v*, v_bd, e_full, e_part) from the
+validator's soup and boundary edges, and caches what later layers derive
 (stretches, labels, eps2), so every audit takes just the graph.
 
 Every point, position and line key in the soup and the graph is a grid
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import Point, Triangle
 from .model import TilingPatch
@@ -75,17 +76,28 @@ def _line_order(keys) -> list[LineKey]:
     return sorted(keys, key=lambda k: (rank[k[:2]], k[2]))
 
 
-@dataclass
-class SideRef:
-    """One triangle side on its supporting line, endpoints in line order."""
+class SideRef(NamedTuple):
+    """One triangle side on its supporting line, endpoints in line order;
+    or, with no tile, the outside along one boundary edge (a deck's marker)."""
 
-    tile: int
-    index: int
+    tile: int | None
+    index: int | None
     a: Point
     b: Point
     lo: int                         # positions: X, or Y on a vertical line
     hi: int
-    sign: int                       # side of the line the tile occupies
+    sign: int                       # side of the line the tile (or outside) occupies
+
+    @property
+    def side(self) -> tuple[int, int] | None:
+        return None if self.tile is None else (self.tile, self.index)
+
+    @property
+    def is_side(self) -> bool:
+        return self.tile is not None
+
+    def label(self) -> str:
+        return "bd" if self.tile is None else f"{self.tile}.{self.index}"
 
 
 @dataclass
@@ -103,19 +115,20 @@ class AtomicEdge:
 
 
 @dataclass
-class LineGroup:
-    key: LineKey
-    sides: list[SideRef] = field(default_factory=list)
-    edges: list[AtomicEdge] = field(default_factory=list)
-
-
-@dataclass
 class EdgeSoup:
     corner_tiles: dict[Point, list[int]]
-    lines: dict[LineKey, LineGroup]     # in _line_order
+    lines: dict[LineKey, list[AtomicEdge]]  # in _line_order, edges by position
     edges: list[AtomicEdge]
     # vertex -> sides whose relative interior contains it
     vertex_subdivides: dict[Point, list[tuple[int, int]]]
+
+    @cached_property
+    def incident_tiles(self) -> dict[Point, set[int]]:
+        """Every tile whose closure contains the vertex (corner or mid-side)."""
+        incident = {p: set(tiles) for p, tiles in self.corner_tiles.items()}
+        for p, sides in self.vertex_subdivides.items():
+            incident.setdefault(p, set()).update(t for t, _ in sides)
+        return incident
 
 
 def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
@@ -125,31 +138,30 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
         for p in t.vertices:
             corner_tiles.setdefault(p, []).append(i)
 
-    groups: dict[LineKey, LineGroup] = {}
+    sides: dict[LineKey, list[SideRef]] = {}
     for i, t in enumerate(tiles):
         verts = t.vertices
         for s in range(3):
             p, q, r = verts[s], verts[(s + 1) % 3], verts[(s + 2) % 3]
             key = line_through(p, q)
-            grp = groups.setdefault(key, LineGroup(key))
+            on_line = sides.setdefault(key, [])
             sgn = 1 if key[0] * r.x + key[1] * r.y + key[2] > 0 else -1
             kp, kq = line_pos(key, p), line_pos(key, q)
             if kp <= kq:
-                grp.sides.append(SideRef(i, s, p, q, kp, kq, sgn))
+                on_line.append(SideRef(i, s, p, q, kp, kq, sgn))
             else:
-                grp.sides.append(SideRef(i, s, q, p, kq, kp, sgn))
+                on_line.append(SideRef(i, s, q, p, kq, kp, sgn))
 
-    lines = {key: groups[key] for key in _line_order(groups)}
-    all_edges: list[AtomicEdge] = []
+    lines: dict[LineKey, list[AtomicEdge]] = {}
     vertex_subdivides: dict[Point, list[tuple[int, int]]] = {}
-    for key, grp in lines.items():
+    for key in _line_order(sides):
         pts: dict[int, Point] = {}
-        for ref in grp.sides:
+        for ref in sides[key]:
             pts[ref.lo] = ref.a
             pts[ref.hi] = ref.b
         positions = sorted(pts)
         edge_map: dict[tuple[int, int], AtomicEdge] = {}
-        for ref in grp.sides:
+        for ref in sides[key]:
             i0 = bisect_right(positions, ref.lo)
             i1 = bisect_left(positions, ref.hi)
             cuts = positions[i0:i1]
@@ -161,10 +173,10 @@ def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
                 if edge is None:
                     edge = edge_map[(u, w)] = AtomicEdge(pts[u], pts[w], key, u, w, [])
                 edge.incidences.append(ref)
-        grp.edges = [edge_map[k] for k in sorted(edge_map)]
-        all_edges.extend(grp.edges)
+        lines[key] = [edge_map[k] for k in sorted(edge_map)]
 
-    return EdgeSoup(corner_tiles, lines, all_edges, vertex_subdivides)
+    edges = [e for on_line in lines.values() for e in on_line]
+    return EdgeSoup(corner_tiles, lines, edges, vertex_subdivides)
 
 
 @dataclass
@@ -231,10 +243,9 @@ class IncidenceGraph:
         if not report.ok:
             raise ValueError(
                 "invalid patch: " + "; ".join(v.describe() for v in report.violations))
-        soup = report.soup
-        boundary = [e for e in soup.edges if len(e.incidences) == 1]
-        boundary_pts = {p for e in boundary for p in (e.a, e.b)}
-        return cls(patch, soup, report.derived_region, report.outline, boundary, boundary_pts)
+        boundary_pts = {p for e in report.boundary for p in (e.a, e.b)}
+        return cls(patch, report.soup, report.derived_region, report.outline,
+                   report.boundary, boundary_pts)
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
@@ -246,14 +257,6 @@ class IncidenceGraph:
                 adj[t1].add(t2)
                 adj[t2].add(t1)
         return adj
-
-    @cached_property
-    def incident_tiles(self) -> dict[Point, set[int]]:
-        """Every tile whose closure contains the vertex (corner or mid-side)."""
-        incident = {p: set(tiles) for p, tiles in self.soup.corner_tiles.items()}
-        for p, sides in self.soup.vertex_subdivides.items():
-            incident.setdefault(p, set()).update(t for t, _ in sides)
-        return incident
 
     # Facts that tritile.stretches derives from the graph, computed once by
     # its public functions; callers share them and must not mutate them.

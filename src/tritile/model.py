@@ -197,7 +197,12 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
 
 
 def serialize_tiling(patch: TilingPatch) -> bytes:
-    """Canonical TILING/1 text; parse(serialize(p)) == p."""
+    """Canonical TILING/1 text; parse(serialize(p)) == p, so metadata that
+    would not read back equal raises ValueError."""
+    bad = [(k, v) for k, v in patch.metadata
+           if k.split() != [k] or "#" in k + v or "\n" in v or v != v.strip()]
+    if bad:
+        raise ValueError("metadata would not read back equal: " + ", ".join(map(repr, bad)))
     out = [MAGIC]
     if patch.region is not None:
         coords = " ".join(

@@ -5,8 +5,9 @@ into sides (and, along a ragged boundary, partial boundary edges) in two
 different ways: one decomposition from each geometric side of the
 supporting line.  Decomposition is one walk per line over its atomic
 edges, in position order.  Each edge adds to the deck above and the deck
-below the item covering it there, if that item is new: a tile side, or a
-boundary marker spanning just the edge where one side covers it.  A
+below the item covering it there, if that item is new: the soup's
+``SideRef`` of the tile side, or, where one side covers the edge, a
+``SideRef`` with no tile for the outside, spanning just the edge.  A
 piece closes where both decks' items end at the same edge.  A piece whose
 two decks are the same single segment is not a stretch; it is either a
 side shared by two tiles or a full boundary side.
@@ -19,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import Point, is_convex, sq_dist
-from .incidence import AtomicEdge, IncidenceGraph, LineKey
+from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
 from .model import TilingPatch
 from .radicals import LengthExpr
 from .report import AuditRecord
@@ -37,50 +38,29 @@ class SideLabel(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class DeckItem:
-    """One piece of a decomposition deck: a tile side, or the marker that
-    stands in for the outside along partial boundary edges (on the grid)."""
-
-    lo: int
-    hi: int
-    side: tuple[int, int] | None    # (tile, side index); None = boundary marker
-    a: Point
-    b: Point
-
-    @property
-    def is_side(self) -> bool:
-        return self.side is not None
-
-    def label(self) -> str:
-        if self.side is None:
-            return "bd"
-        return f"{self.side[0]}.{self.side[1]}"
-
-
 @dataclass(frozen=True)
 class Stretch:
     line: LineKey                   # on the grid
     a: Point                        # rational, like the patch
     b: Point
-    above: tuple[DeckItem, ...]
-    below: tuple[DeckItem, ...]
+    above: tuple[SideRef, ...]
+    below: tuple[SideRef, ...]
     size: int
     klass: StretchClass
 
     @property
-    def side_items(self) -> list[DeckItem]:
+    def side_items(self) -> list[SideRef]:
         return [i for i in self.above + self.below if i.is_side]
 
     @property
-    def long_item(self) -> DeckItem:
+    def long_item(self) -> SideRef:
         """The single side spanning a tight stretch."""
         assert self.klass is StretchClass.TIGHT
         deck = self.above if len(self.above) == 1 else self.below
         return deck[0]
 
     @property
-    def short_items(self) -> tuple[DeckItem, DeckItem]:
+    def short_items(self) -> tuple[SideRef, SideRef]:
         assert self.klass is StretchClass.TIGHT
         deck = self.below if len(self.above) == 1 else self.above
         return (deck[0], deck[1])
@@ -92,13 +72,12 @@ class Stretch:
                 f"class={self.klass.value} decks=[{above}]/[{below}]")
 
 
-def _deck_item(edge: AtomicEdge, sign: int) -> DeckItem:
-    """The item over `edge` on the `sign` side of its line: the tile side
-    there, or a boundary marker spanning just the edge."""
+def _deck_item(edge: AtomicEdge, sign: int) -> SideRef:
+    """The soup's side over `edge` on the `sign` side of its line, else the outside."""
     for ref in edge.incidences:
         if ref.sign == sign:
-            return DeckItem(ref.lo, ref.hi, (ref.tile, ref.index), ref.a, ref.b)
-    return DeckItem(edge.lo, edge.hi, None, edge.a, edge.b)
+            return ref
+    return SideRef(None, None, edge.a, edge.b, edge.lo, edge.hi, sign)
 
 
 def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[int, int, tuple[Point, Point]]]]:
@@ -108,10 +87,10 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
     shared: list[tuple[int, int, tuple[Point, Point]]] = []
     pt = g.patch.grid.point
 
-    for key, grp in g.soup.lines.items():
-        above: list[DeckItem] = []
-        below: list[DeckItem] = []
-        for edge in grp.edges:
+    for key, edges in g.soup.lines.items():
+        above: list[SideRef] = []
+        below: list[SideRef] = []
+        for edge in edges:
             for deck, sign in ((above, 1), (below, -1)):
                 if not deck or deck[-1].hi == edge.lo:
                     deck.append(_deck_item(edge, sign))

@@ -55,10 +55,11 @@ class ValidationReport:
     ok: bool
     violations: list[Violation]
     derived_region: tuple[Point, ...] | None
-    # the soup the checks ran on and the derived region on the grid,
-    # handed over to the incidence graph
+    # the soup the checks ran on, the derived region on the grid and the
+    # boundary edges in soup order, handed over to the incidence graph
     soup: EdgeSoup | None = field(default=None, repr=False, compare=False)
     outline: tuple[Point, ...] | None = field(default=None, repr=False, compare=False)
+    boundary: list[AtomicEdge] = field(default_factory=list, repr=False, compare=False)
 
     def render(self) -> str:
         lines = [f"valid = {'yes' if self.ok else 'no'}"]
@@ -251,9 +252,9 @@ def _count_parts(n: int, groups) -> int:
             root[i] = i = root[root[i]]
         return i
 
-    for group in groups:
-        for j in group[1:]:
-            root[find(j)] = find(group[0])
+    for first, *rest in groups:
+        for j in rest:
+            root[find(j)] = find(first)
     return sum(root[i] == i for i in range(n))
 
 
@@ -330,9 +331,7 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
         # parts with no common point: tiles are joined by a shared vertex
         # (a corner, or a corner inside a side), by crossing edges and by
         # a corner touching an edge
-        parts = _count_parts(len(grid.tiles), [
-            *(tiles + [t for t, _ in soup.vertex_subdivides.get(p, ())]
-              for p, tiles in soup.corner_tiles.items()), *joined])
+        parts = _count_parts(len(grid.tiles), [*soup.incident_tiles.values(), *joined])
         if parts > 1:
             violations.append(Violation(DISCONNECTED, (), f"{parts} separate components"))
 
@@ -348,7 +347,7 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                 REGION_MISMATCH, (), "derived boundary differs from region"))
 
     derived = None if outline is None else tuple(map(pt, outline))
-    return ValidationReport(not violations, violations, derived, soup, outline)
+    return ValidationReport(not violations, violations, derived, soup, outline, boundary)
 
 
 def _geometric_boundary_checks(boundary: list[AtomicEdge], soup: EdgeSoup, pt

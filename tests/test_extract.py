@@ -48,7 +48,7 @@ def fill_oracle(ambient: TilingPatch, selected: set[int]) -> set[int] | None:
     that has no ambient boundary edge."""
     graph = build_incidence(ambient)
     touch = {i: set() for i in range(graph.t)}
-    for tiles in graph.incident_tiles.values():
+    for tiles in graph.soup.incident_tiles.values():
         for a in tiles:
             touch[a].update(tiles)
     seen, frontier = {min(selected)}, [min(selected)]
@@ -86,7 +86,7 @@ def ring_oracle(ambient: TilingPatch, inside: set[int]) -> list[int]:
     graph = build_incidence(ambient)
     boundary_pts = {p for e in graph.soup.edges if sum(t in inside for t in e.tiles) == 1
                     for p in (e.a, e.b)}
-    return sorted({t for p in boundary_pts for t in graph.incident_tiles.get(p, ())} - inside)
+    return sorted({t for p in boundary_pts for t in graph.soup.incident_tiles.get(p, ())} - inside)
 
 
 def seeded_disks(patch: TilingPatch, rng):
@@ -276,18 +276,33 @@ class TestBoundaryRing:
                       if i != inner and closures_touch(t, patch.tiles[inner]))
         assert got == want
 
-    def test_vertex_contact_included(self):
-        # two split squares sharing only the corner (1,1) inside a 2x2 block
+    @staticmethod
+    def split_squares():
+        """A 2x2 block of unit squares, each split along its diagonal."""
         tiles = []
         for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
             a, b, c, d = P(x, y), P(x + 1, y), P(x + 1, y + 1), P(x, y + 1)
             tiles += [Triangle(a, b, c), Triangle(a, c, d)]
-        patch = TilingPatch(tuple(tiles))
+        return tuple(tiles)
+
+    def test_vertex_contact_included(self):
+        # two split squares sharing only the corner (1,1) inside a 2x2 block
+        tiles = self.split_squares()
+        patch = TilingPatch(tiles)
         sub = TilingPatch(tiles[0:2], (P(0, 0), P(1, 0), P(1, 1), P(0, 1)))
         ring = boundary_ring(patch, sub)
         # tile 7 = upper triangle of block (1,1): touches (1,1) only
         assert 6 in ring
         assert set(ring) == {2, 3, 4, 5, 6, 7}
+
+    def test_region_with_a_finer_vertex(self):
+        # the sub's region adds the vertex (1/3, 0), so its grid is finer
+        # than the ambient's; the ring is the same as without it
+        tiles = self.split_squares()
+        patch = TilingPatch(tiles)
+        sub = TilingPatch(tiles[0:2], (P(0, 0), P(F(1, 3), 0), P(1, 0), P(1, 1), P(0, 1)))
+        assert validate_patch(sub).ok
+        assert boundary_ring(patch, sub) == [2, 3, 4, 5, 6, 7]
 
     def test_not_a_subset_rejected(self):
         patch = two_scale(2, 1)

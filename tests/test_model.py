@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,19 @@ class TestSerialize:
         messy = b"#TILING 1\n# comment\ntri 0 0  2/4 0   0 1\n"
         canon = serialize_tiling(parse_tiling(messy))
         assert serialize_tiling(parse_tiling(canon)) == canon
+
+    @pytest.mark.parametrize("entry, writable", [
+        (("k", "a#b"), False), (("k", " x"), False), (("k", "x "), False),
+        (("k#", "v"), False), (("k", "x\ny"), False), (("", "v"), False),
+        (("k y", "v"), False), (("k", "a  b"), True),
+    ])
+    def test_metadata_that_would_not_read_back_is_rejected(self, entry, writable):
+        patch = TilingPatch(SQUARE.tiles, None, (entry,))
+        if writable:
+            assert parse_tiling(serialize_tiling(patch)) == patch
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(entry))):
+                serialize_tiling(patch)
 
 
 class TestAffine:

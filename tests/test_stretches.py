@@ -14,7 +14,7 @@ from tritile import (LengthExpr, Point, RecursiveSplitSpec, Stretch,
                      no_shared_side_conditions, parse_tiling, shared_side_pairs,
                      side_labels, w_audit)
 from tritile.report import Status
-from tritile.stretches import DeckItem
+from tritile.incidence import SideRef
 
 import fixtures
 from conftest import expr_decimal
@@ -49,14 +49,20 @@ def brute_force_shared_segments(patch: TilingPatch):
     return sorted(triples, key=lambda s: (s[0], s[1]))
 
 
+def line_sides(edges):
+    """The sides on one line, rebuilt from its edges' incidences."""
+    return list(dict.fromkeys(ref for e in edges for ref in e.incidences))
+
+
 def brute_force_composite_sides(g):
     """Per-line scan: a side is composite when the sides on the opposite
     deck of its line tile its span exactly, each lying entirely within it."""
     result = []
-    for grp in g.soup.lines.values():
-        for ref in grp.sides:
+    for edges in g.soup.lines.values():
+        sides = line_sides(edges)
+        for ref in sides:
             opposite = sorted(
-                (o for o in grp.sides
+                (o for o in sides
                  if o.sign != ref.sign and o.lo < ref.hi and o.hi > ref.lo),
                 key=lambda o: o.lo)
             if not opposite:
@@ -82,11 +88,11 @@ def joint_cut_decomposition(g):
     and cut where both decks have an item endpoint."""
     stretches, shared = [], []
     pt = g.patch.grid.point
-    for key, grp in g.soup.lines.items():
-        tagged = [(ref.sign, DeckItem(ref.lo, ref.hi, (ref.tile, ref.index), ref.a, ref.b))
-                  for ref in grp.sides]
-        tagged += [(-e.incidences[0].sign, DeckItem(e.lo, e.hi, None, e.a, e.b))
-                   for e in grp.edges if len(e.incidences) == 1]
+    for key, edges in g.soup.lines.items():
+        tagged = [(ref.sign, ref) for ref in line_sides(edges)]
+        tagged += [(-e.incidences[0].sign,
+                    SideRef(None, None, e.a, e.b, e.lo, e.hi, -e.incidences[0].sign))
+                   for e in edges if len(e.incidences) == 1]
         tagged.sort(key=lambda it: (it[1].lo, it[1].hi))
 
         runs, run_hi = [], None
@@ -232,6 +238,24 @@ class TestDecompose:
             seen = [item.side for s in stretches for item in s.side_items]
             assert len(seen) == len(set(seen))
             assert len(seen) == 3 * g.t - g.e_full - 2 * len(shared)
+
+    def test_decks_hold_the_soups_side_records(self):
+        # a ragged edge gives improper stretches, so both kinds of item occur
+        g = build_incidence(gen_two_scale_periodic(TwoScaleSpec(F(1), F(1), 3, 2)))
+        stretches, _ = decompose_stretches(g)
+        assert len(set(stretches)) == len(stretches)
+        refs = {(ref.tile, ref.index): ref for e in g.soup.edges for ref in e.incidences}
+        markers = 0
+        for st in stretches:
+            for deck, sign in ((st.above, 1), (st.below, -1)):
+                for item in deck:
+                    if item.is_side:
+                        assert item is refs[item.side]
+                    else:
+                        markers += 1
+                        assert item.side is None and item.label() == "bd"
+                        assert item.sign == sign
+        assert markers and any(s.klass is StretchClass.IMPROPER for s in stretches)
 
 
 class TestJointCutOracle:
