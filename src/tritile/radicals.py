@@ -13,12 +13,15 @@ rationals (square roots of distinct squarefree kernels are), so the
 expression is zero exactly when no term survives.  That makes ``==`` and
 ``!=`` decidable by pure rational arithmetic; they never refine.  A sum
 of many terms is canonicalised once, by :meth:`LengthExpr.sum`.  The
-order comparisons ``<``, ``<=``, ``>`` and ``>=`` read the sign of the
-difference, decided by interval refinement with doubling precision, which
-terminates because the difference is known to be nonzero by the time
-refinement starts: the enclosure width shrinks to 0 as the precision
-doubles, so it eventually excludes 0, however large the coordinates are.
-There is no precision cap.
+order comparisons ``<``, ``<=``, ``>`` and ``>=`` first compare the two
+operands' ``START_BITS`` enclosures, which settle the order whenever they
+are disjoint (an interval filter: the enclosures are exact integer bounds,
+so the filter never guesses).  When they overlap or touch, the comparison
+reads the sign of the exact difference, decided by interval refinement
+with doubling precision, which terminates because the difference is known
+to be nonzero by the time refinement starts: the enclosure width shrinks
+to 0 as the precision doubles, so it eventually excludes 0, however large
+the coordinates are.  There is no precision cap.
 
 Radicands are stored as rationals, for ``repr``, but the arithmetic runs
 on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
@@ -28,6 +31,7 @@ class test is one ``math.isqrt`` and an enclosure one integer sum.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,20 +158,30 @@ class LengthExpr:
         return LengthExpr(list(self._terms) + [(r, -c) for r, c in other._terms])
 
     def __neg__(self) -> "LengthExpr":
-        return LengthExpr([(r, -c) for r, c in self._terms])
+        return self * -1
 
     def __mul__(self, k: Fraction | int) -> "LengthExpr":
         if not isinstance(k, (Fraction, int)):
             return NotImplemented
-        return LengthExpr([(r, c * k) for r, c in self._terms])
+        # a canonical form times k != 0 is canonical: no merge to redo
+        product = LengthExpr()
+        if k:
+            object.__setattr__(product, "_terms", tuple((r, c * k) for r, c in self._terms))
+        return product
 
     __rmul__ = __mul__
 
     def enclosure(self, bits: int) -> Interval:
-        """Rational interval containing the exact value.  Term c*sqrt(n/d)
-        lies between c*s/(d << bits) and c*(s+1)/(d << bits), on the first
-        if exact, where s = isqrt(n*d << 2*bits); the bounds are summed as
-        integers over D << bits, D the lcm of the terms' c.denominator*d."""
+        """Rational interval containing the exact value (see :meth:`_bounds`)."""
+        lo, hi, den = self._bounds(bits)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
+
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        """Integers lo <= hi and den > 0 with the value in [lo/den, hi/den].
+        Term c*sqrt(n/d) lies between c*s/(d << bits) and c*(s+1)/(d << bits),
+        on the first if exact, where s = isqrt(n*d << 2*bits); the bounds are
+        summed as integers over D << bits, D the lcm of the terms'
+        c.denominator*d."""
         den = math.lcm(*(c.denominator * r.denominator for r, c in self._terms))
         lo = hi = 0
         for r, c in self._terms:
@@ -181,7 +195,7 @@ class LengthExpr:
                     hi += k
                 else:
                     lo += k
-        return Interval(Fraction(lo, den << bits), Fraction(hi, den << bits))
+        return lo, hi, den << bits
 
     def refine_until(self, done: Callable[[Interval], bool],
                      start_bits: int = START_BITS) -> Interval:
@@ -217,17 +231,31 @@ class LengthExpr:
             return NotImplemented
         return (self - other).is_zero()
 
+    def _compare(self, other: object, op: Callable[[int, int], bool]) -> bool:
+        """op(sign of self - other, 0), or NotImplemented for a non-LengthExpr.
+        The operands' START_BITS enclosures settle the sign when they are
+        disjoint; when they overlap or touch, the exact difference decides."""
+        if not isinstance(other, LengthExpr):
+            return NotImplemented
+        alo, ahi, aden = self._bounds(START_BITS)
+        blo, bhi, bden = other._bounds(START_BITS)
+        if ahi * bden < blo * aden:
+            return op(-1, 0)
+        if alo * bden > bhi * aden:
+            return op(1, 0)
+        return op((self - other).sign(), 0)
+
     def __lt__(self, other: "LengthExpr") -> bool:
-        return (self - other).sign() < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other: "LengthExpr") -> bool:
-        return (self - other).sign() <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other: "LengthExpr") -> bool:
-        return (self - other).sign() > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other: "LengthExpr") -> bool:
-        return (self - other).sign() >= 0
+        return self._compare(other, operator.ge)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .geometry import Point, is_convex, sq_dist
 from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
-from .model import TilingPatch
+from .model import Grid, TilingPatch
 from .radicals import LengthExpr
 from .report import AuditRecord
 
@@ -184,13 +184,16 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
 
     Congruent tiles have equal margins, so one margin is measured per
     shape (squared side lengths on the grid), in tile order; on a tie the
-    first tile's margin, and so its written form, wins.
+    first tile's margin, and so its written form, wins.  Most comparisons
+    are settled by the margins' 64-bit enclosures; equal margins written
+    differently (-4 + sqrt(20) and -4 + 2*sqrt(5)) have overlapping
+    enclosures and go to the exact difference, which finds them equal.
     """
     if not patch.tiles:
         raise ValueError("empty patch")
     grid = patch.grid
     shapes = dict.fromkeys(t.squared_sides() for t in grid.tiles)
-    return min((grid.length(s1) + grid.length(s2)) - grid.length(s3)
+    return min(LengthExpr.sum((grid.length(s1), grid.length(s2), grid.length(s3, -1)))
                for s1, s2, s3 in shapes)
 
 
@@ -239,7 +242,8 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     rec.check("long_count_is_sigma", n_long == sigma, n_long, sigma)
     rec.check("short_count_is_twice_sigma", n_short == 2 * sigma, n_short, 2 * sigma)
 
-    # per-stretch exact cancellation: the long side spans the two shorts
+    # per-stretch exact cancellation, on the grid's ints; only a stretch
+    # that fails it adds a (nonzero) piece to the W sum
     pieces: list[LengthExpr] = []
     ties_ok = True
     for st in stretches:
@@ -251,8 +255,9 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
         sq1, sq2 = sq_dist(s1.a, s1.b), sq_dist(s2.a, s2.b)
         if not (long_sq > sq1 and long_sq > sq2):
             ties_ok = False
-        pieces.append(grid.length(sq1) + grid.length(sq2) - grid.length(long_sq))
-    rec.check("tight_length_cancellation", all(p.is_zero() for p in pieces))
+        if not _cancels(sq1, sq2, long_sq):
+            pieces.append(grid.length(sq1) + grid.length(sq2) - grid.length(long_sq))
+    rec.check("tight_length_cancellation", not pieces)
     rec.check("long_side_strictly_longest", ties_ok)
 
     len_diff = LengthExpr.sum(pieces)   # total short length - total long length
@@ -261,60 +266,76 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     w_id = -(eps2 * sigma)
     rec.check("w_routes_agree", w_def == w_id, f"{w_def!r}", f"{w_id!r}")
 
-    # classify tiles and accumulate per-tile contributions
+    # tiles with equal squared sides and labels, in side order, contribute
+    # alike and fail the same checks: each key is measured once, on its
+    # first tile, against eps2's multiples built once
     type_counts = {"type0": 0, "type1": 0, "type2": 0, "type3": 0, "exceptional": 0}
     contributions: list[LengthExpr] = []
-    one = LengthExpr.rational(1)
-    checks = {"type1_nonnegative": True, "type0_zero": True,
-              "type2_bound": True, "type3_value": True,
-              "exceptional_bound": True, "unit_perimeter": True}
+    failed: set[str] = set()
+    minus_eps2 = [eps2 * -k for k in range(4)]
+    memo: dict[tuple, tuple[LengthExpr, str, tuple[str, ...]]] = {}
     for i, tile in enumerate(grid.tiles):
-        kinds = [labels[(i, s)] for s in range(3)]
-        n = kinds.count(SideLabel.LONG)
-        # each long side adds 2/3 - eps2 - length, each short one length - 1/3
-        contrib = LengthExpr.sum([
-            LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)),
-            eps2 * -n,
-            *(grid.length(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
-              for (p, q), kind in zip(tile.sides(), kinds) if kind is not SideLabel.NONE)])
+        sqs = tuple(sq_dist(p, q) for p, q in tile.sides())
+        kinds = tuple(labels[(i, s)] for s in range(3))
+        key = sqs + kinds
+        if key not in memo:
+            memo[key] = _tile_w(grid, sqs, kinds, minus_eps2, unit_perimeter)
+        contrib, kind, fails = memo[key]
         contributions.append(contrib)
-
-        if SideLabel.NONE in kinds:
-            type_counts["exceptional"] += 1
-            if unit_perimeter:
-                bound = grid.perimeter(tile) * Fraction(-2, 3)
-                if contrib < bound:
-                    checks["exceptional_bound"] = False
-            continue
-        type_counts[f"type{n}"] += 1
-        if n == 1 and contrib.sign() < 0:
-            checks["type1_nonnegative"] = False
-        if unit_perimeter:
-            perim = grid.perimeter(tile)
-            if perim != one:
-                checks["unit_perimeter"] = False
-            if n == 0 and not contrib.is_zero():
-                checks["type0_zero"] = False
-            if n == 2:
-                min_side = grid.length(tile.squared_sides()[0])
-                bound = min_side * 2 - eps2 * 2
-                if contrib < bound:
-                    checks["type2_bound"] = False
-            if n == 3:
-                expected = perim - eps2 * 3
-                if contrib != expected:
-                    checks["type3_value"] = False
+        type_counts[kind] += 1
+        failed.update(fails)
 
     for name, count in type_counts.items():
         rec.info(name, count)
-    rec.check("type1_nonnegative", checks["type1_nonnegative"])
+    rec.check("type1_nonnegative", "type1_nonnegative" not in failed)
     if unit_perimeter:
         for name in ("unit_perimeter", "type0_zero", "type2_bound", "type3_value",
                      "exceptional_bound"):
-            rec.check(name, checks[name])
+            rec.check(name, name not in failed)
 
     return WAudit(True, sigma, loose, g.e_full, g.e_part, eps2, n_long, n_short,
                   w_def, w_id, type_counts, contributions, rec)
+
+
+def _cancels(sq1: int, sq2: int, long_sq: int) -> bool:
+    """Whether sqrt(sq1) + sqrt(sq2) == sqrt(long_sq), for ints >= 0: squaring
+    once gives gap = long_sq - sq1 - sq2 = 2*sqrt(sq1*sq2), so gap >= 0, and
+    squaring again gives gap**2 == 4*sq1*sq2."""
+    gap = long_sq - sq1 - sq2
+    return gap >= 0 and gap * gap == 4 * sq1 * sq2
+
+
+def _tile_w(grid: Grid, sqs: tuple[int, ...], kinds: tuple[SideLabel, ...],
+            minus_eps2: list[LengthExpr], unit_perimeter: bool
+            ) -> tuple[LengthExpr, str, tuple[str, ...]]:
+    """One tile's W contribution, its type and the checks it fails, from its
+    squared grid sides and their labels, in side order; minus_eps2[k] is
+    -k * eps2."""
+    n = kinds.count(SideLabel.LONG)
+    # each long side adds 2/3 - eps2 - length, each short one length - 1/3
+    contrib = LengthExpr.sum([
+        LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)),
+        minus_eps2[n],
+        *(grid.length(sq, -1 if kind is SideLabel.LONG else 1)
+          for sq, kind in zip(sqs, kinds) if kind is not SideLabel.NONE)])
+    perim = LengthExpr.sum(grid.length(sq) for sq in sqs) if unit_perimeter else None
+    if SideLabel.NONE in kinds:
+        if unit_perimeter and contrib < perim * Fraction(-2, 3):
+            return contrib, "exceptional", ("exceptional_bound",)
+        return contrib, "exceptional", ()
+    fails = []
+    if n == 1 and contrib.sign() < 0:
+        fails.append("type1_nonnegative")
+    if unit_perimeter:
+        if perim != LengthExpr.rational(1):
+            fails.append("unit_perimeter")
+        if n == 0 and not contrib.is_zero():
+            fails.append("type0_zero")
+        if n == 2 and contrib < grid.length(min(sqs)) * 2 + minus_eps2[2]:
+            fails.append("type2_bound")
+        if n == 3 and contrib != perim + minus_eps2[3]:
+            fails.append("type3_value")
+    return contrib, ("type0", "type1", "type2", "type3")[n], tuple(fails)
 
 
 def composite_sides(g: IncidenceGraph) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:

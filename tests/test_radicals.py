@@ -157,6 +157,28 @@ class TestRichComparisons:
         assert sq(2) <= sq(8, 1) - sq(2)
         assert LengthExpr.rational(0) >= LengthExpr()
 
+    @pytest.mark.parametrize("a, b", [
+        (LengthExpr.rational(F(7, 3)), LengthExpr.rational(F(7, 3))),  # zero-width enclosures
+        (sq(20), sq(5, 2)),  # overlapping enclosures, one value
+    ])
+    def test_equal_values_at_the_filter_edge(self, a, b):
+        for x, y in ((a, a), (a, b), (b, a)):
+            assert not x < y and not x > y
+            assert x <= y and x >= y
+
+    def test_disjoint_enclosures_skip_the_difference(self, monkeypatch):
+        def no_difference(*args):
+            raise AssertionError("exact difference built")
+        monkeypatch.setattr(LengthExpr, "__sub__", no_difference)
+        assert sq(2) < sq(3) and sq(3) > sq(2)
+        assert sq(2) <= LengthExpr.rational(2) and LengthExpr.rational(2) >= sq(2)
+
+    def test_order_against_a_non_length_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            sq(2) < 1
+        with pytest.raises(TypeError):
+            1 >= sq(2)
+
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(sq(2))

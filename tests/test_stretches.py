@@ -13,8 +13,11 @@ from tritile import (LengthExpr, Point, RecursiveSplitSpec, Stretch,
                      gen_two_scale_periodic, neighbor_hops_to_composite,
                      no_shared_side_conditions, parse_tiling, shared_side_pairs,
                      side_labels, w_audit)
-from tritile.report import Status
+from tritile.cli import main as cli_main
+from tritile.geometry import sq_dist
 from tritile.incidence import SideRef
+from tritile.report import Status
+from tritile.stretches import _cancels
 
 import fixtures
 from conftest import expr_decimal
@@ -394,13 +397,37 @@ class TestEpsilon2:
         assert min(expr_decimal(m) for m in margins) == expr_decimal(e)
         assert e.sign() > 0
 
+    #: margins -4 + sqrt(20) (squared sides 1, 20, 25) and -4 + 2*sqrt(5)
+    #: (squared sides 5, 5, 16): equal values, written differently
+    TIE_A = ((0, 0), (-4, -3), (0, -1))
+    TIE_B = ((0, 0), (-4, 0), (-2, -1))
+
     @pytest.mark.parametrize("order, want", [
         ("AB", "-4 + sqrt(20)"), ("BA", "-4 + 2*sqrt(5)"), ("BAAB", "-4 + 2*sqrt(5)")])
     def test_first_tile_wins_a_tie(self, order, want):
-        # squared sides 1, 20, 25 and 5, 5, 16: both margins are 2*sqrt(5) - 4
-        tiles = {"A": Triangle(P(0, 0), P(1, 0), P(3, 4)),
-                 "B": Triangle(P(0, 0), P(4, 0), P(2, 1))}
-        assert repr(epsilon2(TilingPatch(tuple(tiles[c] for c in order)))) == want
+        overlapping = {"A": Triangle(P(0, 0), P(1, 0), P(3, 4)),
+                       "B": Triangle(P(0, 0), P(4, 0), P(2, 1))}
+        apart = {"A": Triangle(*(P(x, y) for x, y in self.TIE_A)),
+                 "B": Triangle(*(P(x + 10, y + 3) for x, y in self.TIE_B))}
+        for tiles in (overlapping, apart):
+            assert repr(epsilon2(TilingPatch(tuple(tiles[c] for c in order)))) == want
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_tie_in_audit_output(self, a_first, tmp_path, capsys):
+        # a valid share-free patch: A, B moved by (4, -1) below A's corner
+        # (0, -1), and two fillers with larger margins (1.76 and 0.69)
+        b = " ".join(f"{x + 4} {y - 1}" for x, y in self.TIE_B)
+        a = " ".join(f"{x} {y}" for x, y in self.TIE_A)
+        fillers = ["0 -1 3 -1 0 2", "0 2 0 0 -8 -6"]
+        tiles = [a, b] if a_first else [b, a]
+        path = tmp_path / "tie.til"
+        path.write_text("#TILING 1\n" + "".join(f"tri {t}\n" for t in tiles + fillers))
+        assert cli_main(["audit", str(path)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("epsilon2 = ")]
+        want = "-4 + sqrt(20)" if a_first else "-4 + 2*sqrt(5)"
+        # the w-audit's line and the asymptotic audit's line
+        assert lines == [f"epsilon2 = {want} (~0.472135955000)"] * 2
 
     def test_one_margin_per_shape(self, monkeypatch):
         # 216 tiles of two shapes: one exact comparison
@@ -492,6 +519,114 @@ class TestWAudit:
         for c in audit.contributions:
             total = total + c
         assert total == audit.w_definition
+
+    @pytest.mark.parametrize("unit_perimeter", [False, True])
+    def test_memo_matches_per_tile_oracle(self, unit_perimeter):
+        corpus = [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
+                  for name in ("twoscale-2", "recursive-4", "convex-6")]
+        corpus += [gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 2)),
+                   recursive(3), *random_patches(range(20))]
+        # disks cut from a two-scale patch: share-free, with exceptional tiles
+        ambient = gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 4, 4))
+        corpus += [extract_disk_patch(ambient, P(F(cx, 4), F(cy, 4)), F(r, 4)).patch
+                   for cx, cy, r in ((20, 14, 40), (8, 8, 25), (30, 3, 60))]
+        applicable = 0
+        for patch in corpus:
+            g = build_incidence(patch)
+            audit = w_audit(g, unit_perimeter=unit_perimeter)
+            if not audit.applicable:
+                assert shared_side_pairs(g) and audit.contributions == []
+                continue
+            applicable += 1
+            contributions, type_counts, checks = w_tiles_oracle(g, unit_perimeter)
+            assert [repr(c) for c in audit.contributions] == [repr(c) for c in contributions]
+            assert audit.type_counts == type_counts
+            for name, ok in checks.items():
+                if unit_perimeter or name == "type1_nonnegative":
+                    assert audit.record.get(name).status is (
+                        Status.PASS if ok else Status.FAIL), name
+        assert applicable == 7
+
+    def test_memo_hit_carries_a_failing_check(self):
+        # 24 tiles, most keys repeated; no perimeter is 1, so every key fails
+        g = build_incidence(gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 2, 2)))
+        keys = [tuple(sorted(t.squared_sides())) for t in g.patch.grid.tiles]
+        assert len(set(keys)) < len(keys)
+        audit = w_audit(g, unit_perimeter=True)
+        _, _, checks = w_tiles_oracle(g, True)
+        assert not checks["unit_perimeter"] and not checks["type0_zero"]
+        for name in ("unit_perimeter", "type0_zero"):
+            assert audit.record.get(name).status is Status.FAIL
+
+
+def w_tiles_oracle(g, unit_perimeter):
+    """The W audit's per-tile part, tile by tile with no memo: the
+    contributions, the type counts and each check's verdict."""
+    labels, eps2, grid = g.labels, g.eps2, g.patch.grid
+    type_counts = {"type0": 0, "type1": 0, "type2": 0, "type3": 0, "exceptional": 0}
+    contributions = []
+    checks = {"type1_nonnegative": True, "type0_zero": True, "type2_bound": True,
+              "type3_value": True, "exceptional_bound": True, "unit_perimeter": True}
+    for i, tile in enumerate(grid.tiles):
+        kinds = [labels[(i, s)] for s in range(3)]
+        n = kinds.count(SideLabel.LONG)
+        contrib = LengthExpr.rational(F(2 * n - kinds.count(SideLabel.SHORT), 3)) - eps2 * n
+        for (p, q), kind in zip(tile.sides(), kinds):
+            if kind is not SideLabel.NONE:
+                contrib = contrib + grid.length(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
+        contributions.append(contrib)
+        perim = grid.perimeter(tile)
+        if SideLabel.NONE in kinds:
+            type_counts["exceptional"] += 1
+            if unit_perimeter and contrib < perim * F(-2, 3):
+                checks["exceptional_bound"] = False
+            continue
+        type_counts[f"type{n}"] += 1
+        if n == 1 and contrib.sign() < 0:
+            checks["type1_nonnegative"] = False
+        if not unit_perimeter:
+            continue
+        checks["unit_perimeter"] &= perim == LengthExpr.rational(1)
+        checks["type0_zero"] &= n != 0 or contrib.is_zero()
+        if n == 2:
+            bound = grid.length(tile.squared_sides()[0]) * 2 - eps2 * 2
+            checks["type2_bound"] &= not contrib < bound
+        checks["type3_value"] &= n != 3 or contrib == perim - eps2 * 3
+    return contributions, type_counts, checks
+
+
+class TestTightCancellation:
+    """The integer test for sqrt(s1) + sqrt(s2) == sqrt(l) against LengthExpr."""
+
+    @staticmethod
+    def oracle(s1, s2, l):
+        return LengthExpr.sqrt(s1) + LengthExpr.sqrt(s2) == LengthExpr.sqrt(l)
+
+    def test_random_triples(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            triple = [rng.randint(0, 50) for _ in range(3)]
+            assert _cancels(*triple) == self.oracle(*triple), triple
+
+    def test_square_multiple_families(self):
+        # (k^2 x, m^2 x, (k+m)^2 x) cancels; its other orders square to the
+        # same gap**2 == 4*s1*s2 with a negative gap, and do not
+        seen = {True: 0, False: 0}
+        for x in (1, 2, 3, 5, 6, 7, 12, 433 * 250):
+            for k in range(4):
+                for m in range(4):
+                    a, b, c = k * k * x, m * m * x, (k + m) ** 2 * x
+                    for triple in ((a, b, c), (b, a, c), (a, c, b), (c, b, a), (a, b, c + 1)):
+                        want = self.oracle(*triple)
+                        assert _cancels(*triple) == want, triple
+                        seen[want] += 1
+        assert seen[True] > 100 and seen[False] > 100
+
+    def test_negative_gap_trap(self):
+        # sqrt(4) + sqrt(1) != sqrt(1), though (1 - 4 - 1)**2 == 4*4*1
+        assert (1 - 4 - 1) ** 2 == 4 * 4 * 1
+        assert not _cancels(4, 1, 1)
+        assert not self.oracle(4, 1, 1)
 
 
 class TestComposite:
