@@ -11,17 +11,23 @@ radicand is kept as the class representative.  After that merge, square
 roots of the surviving radicands are linearly independent over the
 rationals (square roots of distinct squarefree kernels are), so the
 expression is zero exactly when no term survives.  That makes ``==`` and
-``!=`` decidable by pure rational arithmetic; they never refine.  A sum
-of many terms is canonicalised once, by :meth:`LengthExpr.sum`.  The
-order comparisons ``<``, ``<=``, ``>`` and ``>=`` first compare the two
-operands' ``START_BITS`` enclosures, which settle the order whenever they
-are disjoint (an interval filter: the enclosures are exact integer bounds,
-so the filter never guesses).  When they overlap or touch, the comparison
-reads the sign of the exact difference, decided by interval refinement
-with doubling precision, which terminates because the difference is known
-to be nonzero by the time refinement starts: the enclosure width shrinks
-to 0 as the precision doubles, so it eventually excludes 0, however large
-the coordinates are.  There is no precision cap.
+``!=`` decidable by pure rational arithmetic; they never refine.
+
+``+``, ``-``, ``*`` and :meth:`LengthExpr.sum` store their operands; the
+canonical form is built when ``terms``, ``repr``, ``==``, ``is_zero``,
+``is_rational``, ``enclosure`` or ``decimal_str`` first reads it, from
+the operands' forms, so it is the form that merging at every step gives
+(``(sqrt(2) - sqrt(2)) + sqrt(8)`` is ``sqrt(8)``), and the operands are
+then freed.  ``sign()`` and the order comparisons ``<``, ``<=``, ``>``
+and ``>=`` first bound the unmerged operands at ``START_BITS`` on
+integers, one ``isqrt`` per term; the bounds are exact, so this filter
+never guesses.  When they do not settle the sign (or the order: they
+overlap or touch), the canonical form of the value (or of the
+difference) is built, and if it is not empty its bounds are refined with
+doubling precision.  That terminates because the value is then known to
+be nonzero: the width shrinks to 0 as the precision doubles, so it
+eventually excludes 0, however large the coordinates are.  There is no
+precision cap.
 
 Radicands are stored as rationals, for ``repr``, but the arithmetic runs
 on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +47,9 @@ ONE = Fraction(1)
 
 #: First precision used when refining an enclosure for a sign decision.
 START_BITS = 64
+
+#: Most operands read to bound an expression before merging it instead.
+FLAT_LIMIT = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,8 +90,6 @@ def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, 
         if not c or not r:
             continue
         n, d = r.numerator, r.denominator
-        if n < 0:
-            raise ValueError("negative radicand")
         m = n * d
         s = math.isqrt(m)
         if s * s == m:
@@ -108,10 +115,18 @@ def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, 
 class LengthExpr:
     """Immutable exact sum of square roots of nonnegative rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_parts")
 
-    def __init__(self, terms: list[tuple[Fraction, Fraction]] | None = None):
-        object.__setattr__(self, "_terms", _merge_terms(terms or []))
+    def __init__(self, parts: list[tuple] | None = None):
+        """The sum of parts, each a (radicand, coefficient) pair of rationals
+        or an (expression, multiplier) pair standing for multiplier times
+        that LengthExpr.  The canonical form is built when first read."""
+        parts = tuple(parts or ())
+        for x, k in parts:
+            if k and not isinstance(x, LengthExpr) and x.numerator < 0:
+                raise ValueError("negative radicand")
+        object.__setattr__(self, "_terms", None if parts else ())
+        object.__setattr__(self, "_parts", parts or None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LengthExpr is immutable")
@@ -128,34 +143,37 @@ class LengthExpr:
     @classmethod
     def sum(cls, exprs: Iterable["LengthExpr"]) -> "LengthExpr":
         """The sum of all of exprs, canonicalised once (empty sum: zero)."""
-        return cls([term for e in exprs for term in e._terms])
+        return cls([(e, 1) for e in exprs])
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, radicands ascending."""
+        if self._terms is None:
+            _build_canonical(self)
         return self._terms
 
     def is_zero(self) -> bool:
         # canonical form is empty iff the represented real is zero
-        return not self._terms
+        return not self.terms
 
     def is_rational(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
-        if not self._terms:
+        terms = self.terms
+        if not terms:
             return ZERO
-        if len(self._terms) == 1 and self._terms[0][0] == 1:
-            return self._terms[0][1]
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
         return None
 
     def __add__(self, other: "LengthExpr") -> "LengthExpr":
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        return LengthExpr(list(self._terms) + list(other._terms))
+        return LengthExpr([(self, 1), (other, 1)])
 
     def __sub__(self, other: "LengthExpr") -> "LengthExpr":
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        return LengthExpr(list(self._terms) + [(r, -c) for r, c in other._terms])
+        return LengthExpr([(self, 1), (other, -1)])
 
     def __neg__(self) -> "LengthExpr":
         return self * -1
@@ -163,39 +181,18 @@ class LengthExpr:
     def __mul__(self, k: Fraction | int) -> "LengthExpr":
         if not isinstance(k, (Fraction, int)):
             return NotImplemented
-        # a canonical form times k != 0 is canonical: no merge to redo
-        product = LengthExpr()
-        if k:
-            object.__setattr__(product, "_terms", tuple((r, c * k) for r, c in self._terms))
+        product = LengthExpr([(self, k)] if k else None)
+        if k and self._terms is not None:
+            _build_canonical(product)   # a scaling, not a merge: see there
         return product
 
     __rmul__ = __mul__
 
     def enclosure(self, bits: int) -> Interval:
-        """Rational interval containing the exact value (see :meth:`_bounds`)."""
-        lo, hi, den = self._bounds(bits)
+        """Rational interval containing the exact value: the canonical terms'
+        integer bounds (see :func:`_bounds`) over their denominator."""
+        lo, hi, den = _bounds(self.terms, bits)
         return Interval(Fraction(lo, den), Fraction(hi, den))
-
-    def _bounds(self, bits: int) -> tuple[int, int, int]:
-        """Integers lo <= hi and den > 0 with the value in [lo/den, hi/den].
-        Term c*sqrt(n/d) lies between c*s/(d << bits) and c*(s+1)/(d << bits),
-        on the first if exact, where s = isqrt(n*d << 2*bits); the bounds are
-        summed as integers over D << bits, D the lcm of the terms'
-        c.denominator*d."""
-        den = math.lcm(*(c.denominator * r.denominator for r, c in self._terms))
-        lo = hi = 0
-        for r, c in self._terms:
-            k = c.numerator * (den // (c.denominator * r.denominator))
-            m = r.numerator * r.denominator << 2 * bits
-            s = math.isqrt(m)
-            lo += k * s
-            hi += k * s
-            if s * s != m:
-                if k > 0:
-                    hi += k
-                else:
-                    lo += k
-        return lo, hi, den << bits
 
     def refine_until(self, done: Callable[[Interval], bool],
                      start_bits: int = START_BITS) -> Interval:
@@ -213,13 +210,24 @@ class LengthExpr:
         return self.refine_until(lambda iv: iv.width <= max_width, start_bits)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}."""
-        if not self._terms:
+        """Exact sign in {-1, 0, 1}.  The operands' START_BITS bounds settle
+        it when they exclude 0; else the canonical form is built, and a
+        nonzero one has a nonzero value (module docstring), so doubling the
+        precision of its bounds eventually excludes 0."""
+        terms = self._terms
+        if terms is None:
+            lo, hi, _ = _bounds(_flat_terms(self), START_BITS)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            terms = self.terms
+        if not terms:
             return 0
-        # a nonzero canonical form has a nonzero value (module docstring),
-        # so some enclosure excludes 0
-        iv = self.refine_until(lambda iv: iv.lo > 0 or iv.hi < 0)
-        return 1 if iv.lo > 0 else -1
+        bits = START_BITS
+        while True:
+            lo, hi, _ = _bounds(terms, bits)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            bits *= 2
 
     # Rich comparisons are value comparisons; note that __eq__ therefore
     # deliberately disagrees with identity of the canonical forms
@@ -233,12 +241,12 @@ class LengthExpr:
 
     def _compare(self, other: object, op: Callable[[int, int], bool]) -> bool:
         """op(sign of self - other, 0), or NotImplemented for a non-LengthExpr.
-        The operands' START_BITS enclosures settle the sign when they are
+        The operands' START_BITS bounds settle the sign when they are
         disjoint; when they overlap or touch, the exact difference decides."""
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        alo, ahi, aden = self._bounds(START_BITS)
-        blo, bhi, bden = other._bounds(START_BITS)
+        alo, ahi, aden = _bounds(_flat_terms(self), START_BITS)
+        blo, bhi, bden = _bounds(_flat_terms(other), START_BITS)
         if ahi * bden < blo * aden:
             return op(-1, 0)
         if alo * bden > bhi * aden:
@@ -258,10 +266,10 @@ class LengthExpr:
         return self._compare(other, operator.ge)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts = []
-        for r, c in self._terms:
+        for r, c in self.terms:
             if r == 1:
                 mag = str(abs(c))
             elif abs(c) == 1:
@@ -276,10 +284,100 @@ class LengthExpr:
 
     def decimal_str(self, digits: int = 12) -> str:
         """Deterministic decimal rendering (round-to-nearest midpoint)."""
-        if not self._terms:
+        if not self.terms:
             return "0"
         iv = self.refine(Fraction(1, 10 ** (digits + 2)))
         return fraction_decimal(iv.midpoint, digits)
+
+
+def _scaled(terms: Iterable[tuple[Fraction, Fraction]], k: Fraction | int
+            ) -> Iterable[tuple[Fraction, Fraction]]:
+    return terms if k == 1 else [(r, c * k) for r, c in terms]
+
+
+def _build_canonical(e: LengthExpr) -> None:
+    """Build e's canonical form, and first, innermost first, that of every
+    operand below it that has none, then free their operands.  A node's
+    form is the merge of its operands' forms, as if each had been merged
+    when built: a class keeps the smallest radicand seen in its own
+    operand, even one whose terms cancelled there.  One operand times
+    k != 0 needs no merge: a canonical form times k is canonical."""
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if x._terms is not None:
+            stack.pop()
+            continue
+        parts = x._parts
+        pending = [y for y, _ in parts if isinstance(y, LengthExpr) and y._terms is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        y, k = parts[0]
+        if len(parts) == 1 and isinstance(y, LengthExpr) and k:
+            terms = tuple(_scaled(y._terms, k))
+        else:
+            raw: list[tuple[Fraction, Fraction]] = []
+            for y, k in parts:
+                if isinstance(y, LengthExpr):
+                    raw += _scaled(y._terms, k)
+                else:
+                    raw.append((y, k))
+            terms = _merge_terms(raw)
+        object.__setattr__(x, "_terms", terms)
+        object.__setattr__(x, "_parts", None)
+
+
+def _flat_terms(e: LengthExpr) -> Sequence[tuple[Fraction, Fraction]]:
+    """(radicand, coefficient) pairs, unmerged, that sum to e: its canonical
+    terms if built, else its operands', times their multipliers.  Past
+    FLAT_LIMIT operands (shared ones count each time), e's canonical terms
+    instead, so a tree that shares its operands costs no more than merging."""
+    out: list[tuple[Fraction, Fraction]] = []
+    stack: list[tuple[LengthExpr, Fraction | int]] = [(e, 1)]
+    visits = 0
+    while stack:
+        visits += 1
+        if visits > FLAT_LIMIT:
+            return e.terms
+        x, k = stack.pop()
+        if x._terms is not None:
+            out += _scaled(x._terms, k)
+            continue
+        for y, j in x._parts:
+            if not j:
+                continue
+            j = j if k == 1 else j * k
+            if isinstance(y, LengthExpr):
+                stack.append((y, j))
+            else:
+                out.append((y, j))
+    return out
+
+
+def _bounds(terms: Sequence[tuple[Fraction, Fraction]], bits: int) -> tuple[int, int, int]:
+    """Integers lo <= hi and den > 0 with sum(c*sqrt(r)) in [lo/den, hi/den].
+    Term c*sqrt(n/d) lies between c*s/(d << bits) and c*(s+1)/(d << bits),
+    on the first if exact, where s = isqrt(n*d << 2*bits); the bounds are
+    summed as integers over D << bits, D the lcm of the terms'
+    c.denominator*d."""
+    ints = [(r.numerator * r.denominator, c.numerator, c.denominator * r.denominator)
+            for r, c in terms]
+    den = math.lcm(*(d for _, _, d in ints))
+    lo = hi = 0
+    for m, n, d in ints:
+        k = n * (den // d)
+        m <<= 2 * bits
+        s = math.isqrt(m)
+        lo += k * s
+        hi += k * s
+        if s * s != m:
+            if k > 0:
+                hi += k
+            else:
+                lo += k
+    return lo, hi, den << bits
 
 
 def fraction_decimal(q: Fraction, digits: int) -> str:

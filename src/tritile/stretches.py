@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
 
 from .geometry import Point, is_convex, sq_dist
 from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
@@ -182,19 +183,26 @@ def no_shared_side_conditions(g: IncidenceGraph) -> AuditRecord:
 def epsilon2(patch: TilingPatch) -> LengthExpr:
     """Minimum over tiles of (two shorter sides minus the longest side).
 
-    Congruent tiles have equal margins, so one margin is measured per
-    shape (squared side lengths on the grid), in tile order; on a tie the
-    first tile's margin, and so its written form, wins.  Most comparisons
-    are settled by the margins' 64-bit enclosures; equal margins written
-    differently (-4 + sqrt(20) and -4 + 2*sqrt(5)) have overlapping
-    enclosures and go to the exact difference, which finds them equal.
+    Congruent tiles have equal margins, so one margin is considered per
+    shape (squared side lengths s1 <= s2 <= s3 on the grid), in tile
+    order; on a tie the first tile's margin, and so its written form,
+    wins.  With x = isqrt(s << 128) per side, the shape's margin times D
+    times 2**64 lies in [L - 1, L + 2], L = x1 + x2 - x3.  Only shapes
+    whose lower bound is at most the least upper bound can be the
+    minimum, so only their margins are built exactly; `min` over them,
+    in tile order, keeps the first of equal margins written differently
+    (-4 + sqrt(20) and -4 + 2*sqrt(5)), which the exact difference finds
+    equal.
     """
     if not patch.tiles:
         raise ValueError("empty patch")
     grid = patch.grid
     shapes = dict.fromkeys(t.squared_sides() for t in grid.tiles)
+    approx = {(s1, s2, s3): isqrt(s1 << 128) + isqrt(s2 << 128) - isqrt(s3 << 128)
+              for s1, s2, s3 in shapes}
+    cut = min(approx.values()) + 3
     return min(LengthExpr.sum((grid.length(s1), grid.length(s2), grid.length(s3, -1)))
-               for s1, s2, s3 in shapes)
+               for (s1, s2, s3), a in approx.items() if a <= cut)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Golden-file regression tests for the command line.
 
-`tests/golden/` holds three small inputs (a 2x2 two-scale grid, a depth-4
-recursive split and a k=6 convex triangulation) together with the exact
-stdout of `audit`, `audit --disk`, `stretches`, `stats` and
+`tests/golden/` holds four small inputs: a 2x2 two-scale grid, depth-4 and
+depth-12 recursive splits, whose squared sides reach 4 and 11 digits, and
+a k=6 convex triangulation.  With them it keeps the exact stdout of
+`audit`, `audit --disk`, `stretches`, `stats` and
 `stats --precision-bits 256` on each, the SVG written by
 `render --stretch-overlay --labels`, and the exit codes.
 It also holds hand-made invalid inputs (`invalid-*.til`) with the exact
@@ -31,6 +32,7 @@ CASES = {
     "twoscale-2": (["twoscale", "--b", "2", "--h", "433/250", "--m", "2", "--n", "2"],
                    "2,3/2,1"),
     "recursive-4": (["recursive", "--depth", "4"], "0,0,1"),
+    "recursive-12": (["recursive", "--depth", "12"], "0,0,9"),
     "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/4"),
 }
 

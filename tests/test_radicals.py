@@ -362,3 +362,205 @@ class TestIntegerArithmeticOracles:
             iv = e.enclosure(bits)
             assert (iv.lo, iv.hi) == oracle_enclosure(e.terms, bits)
             assert iv.lo < iv.hi
+
+
+class EagerLengthExpr:
+    """LengthExpr as it was before the canonical form was deferred: every
+    +, -, * and sum merges at once.  Built on the plain-Fraction oracles
+    above, so it shares neither the library's class test nor its bounds."""
+
+    def __init__(self, raw):
+        self.terms = oracle_merge_terms(raw)
+
+    @classmethod
+    def sqrt(cls, r, c=1):
+        return cls([(F(r), F(c))])
+
+    @classmethod
+    def rational(cls, c):
+        return cls([(F(1), F(c))])
+
+    @classmethod
+    def sum(cls, exprs):
+        return cls([t for e in exprs for t in e.terms])
+
+    def __add__(self, other):
+        return EagerLengthExpr(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return EagerLengthExpr(self.terms + tuple((r, -c) for r, c in other.terms))
+
+    def __mul__(self, k):
+        return EagerLengthExpr([(r, c * k) for r, c in self.terms])
+
+    def enclosure(self, bits):
+        return Interval(*oracle_enclosure(self.terms, bits))
+
+    def _refined(self, done):
+        bits = 64
+        while not done(iv := self.enclosure(bits)):
+            bits *= 2
+        return iv
+
+    def sign(self):
+        if not self.terms:
+            return 0
+        return 1 if self._refined(lambda iv: iv.lo > 0 or iv.hi < 0).lo > 0 else -1
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_rational(self):
+        if not self.terms:
+            return F(0)
+        return self.terms[0][1] if len(self.terms) == 1 and self.terms[0][0] == 1 else None
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __repr__(self):
+        out = []
+        for r, c in self.terms:
+            mag = str(abs(c)) if r == 1 else f"sqrt({r})" if abs(c) == 1 else f"{abs(c)}*sqrt({r})"
+            sign = ("" if c > 0 else "-") if not out else ("+ " if c > 0 else "- ")
+            out.append(sign + mag)
+        return " ".join(out) or "0"
+
+    def decimal_str(self, digits=12):
+        if not self.terms:
+            return "0"
+        iv = self._refined(lambda iv: iv.width <= F(1, 10 ** (digits + 2)))
+        return fraction_decimal(iv.midpoint, digits)
+
+
+#: radicands of a few square-ratio classes (2, 8, 18, 1/2; 3, 12, 3/4; 5,
+#: 20), perfect squares and 0
+_RADICANDS = (F(2), F(8), F(18), F(1, 2), F(3), F(12), F(3, 4), F(5), F(20),
+              F(9), F(1, 4), F(0), F(7))
+_MULTIPLIERS = (0, 1, -1, 2, F(1, 3), F(-3, 2))
+
+
+def _random_recipe(rng: random.Random, pool: list, depth: int):
+    """A random expression tree: ("sqrt", r, c), ("rational", c), ("+", a,
+    b), ("-", a, b), ("*", a, k) or ("sum", [a, ...]).  Subtrees are drawn
+    from `pool` too, so trees share them, and `a - a` cancels to zero."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.8:
+            recipe = ("sqrt", rng.choice(_RADICANDS), F(rng.randint(-4, 4), rng.randint(1, 3)))
+        else:
+            recipe = ("rational", F(rng.randint(-5, 5), rng.randint(1, 4)))
+    else:
+        def sub():
+            if pool and rng.random() < 0.3:
+                return rng.choice(pool)
+            return _random_recipe(rng, pool, depth - 1)
+        op = rng.choice(("+", "-", "-", "*", "sum", "cancel"))
+        if op == "*":
+            recipe = ("*", sub(), rng.choice(_MULTIPLIERS))
+        elif op == "sum":
+            recipe = ("sum", [sub() for _ in range(rng.randint(0, 4))])
+        elif op == "cancel":
+            a = sub()
+            recipe = ("+", ("-", a, a), sub())
+        else:
+            recipe = (op, sub(), sub())
+    pool.append(recipe)
+    return recipe
+
+
+def _build(recipe, cls, memo: dict, read_terms=None):
+    """recipe evaluated with cls, each shared subtree once; read_terms(e),
+    if given, is called on every node built (to merge some early)."""
+    if id(recipe) in memo:
+        return memo[id(recipe)]
+    op = recipe[0]
+    if op == "sqrt":
+        e = cls.sqrt(recipe[1], recipe[2])
+    elif op == "rational":
+        e = cls.rational(recipe[1])
+    elif op == "sum":
+        e = cls.sum([_build(r, cls, memo, read_terms) for r in recipe[1]])
+    elif op == "*":
+        e = _build(recipe[1], cls, memo, read_terms) * recipe[2]
+    else:
+        a, b = (_build(r, cls, memo, read_terms) for r in recipe[1:])
+        e = a + b if op == "+" else a - b
+    if read_terms is not None:
+        read_terms(e)
+    memo[id(recipe)] = e
+    return e
+
+
+class TestDeferredCanonicalForm:
+    """The canonical form is built when read, from the operands' forms, so
+    every observable agrees with the eager oracle, in any reading order."""
+
+    def test_cancelled_operand_keeps_its_radicand(self):
+        assert repr((sq(2) - sq(2)) + sq(8)) == "sqrt(8)"
+        assert repr(LengthExpr.sum([sq(3) + sq(2) - sq(2), sq(8)])) == "sqrt(3) + sqrt(8)"
+        assert (sq(2) - sq(2)) + sq(8) == sq(2, 2)
+
+    def test_negative_radicand_rejected_when_built(self):
+        with pytest.raises(ValueError):
+            LengthExpr([(F(-1), F(1))])
+        assert LengthExpr([(F(-1), F(0))]).is_zero()
+
+    def test_read_frees_the_operands(self):
+        e = sq(2) + sq(8)
+        assert e.sign() == 1
+        assert e._parts is not None
+        assert repr(e) == "3*sqrt(2)"
+        assert e._parts is None
+
+    def test_sign_settled_by_bounds_builds_nothing(self):
+        e = LengthExpr.sum([sq(3), sq(12), LengthExpr.rational(-1)])
+        assert e.sign() == 1 and e < LengthExpr.rational(6) and e._terms is None
+
+    def test_shared_operands_do_not_blow_up(self):
+        e = sq(2) - sq(2)
+        for _ in range(60):
+            e = e + e
+        assert e.sign() == 0 and (e + sq(3)).sign() == 1
+
+    def test_deep_chain_within_the_recursion_limit(self):
+        total = LengthExpr()
+        for i in range(5000):
+            total = total + sq(i % 7)
+        assert LengthExpr.rational(7000) < total < LengthExpr.rational(8000)
+        assert total.terms[0][0] == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_eager_oracle(self, seed):
+        rng = random.Random(seed)
+        pool: list = []
+        recipes = [_random_recipe(rng, pool, rng.randint(1, 5)) for _ in range(60)]
+        zero = 0
+        for i, recipe in enumerate(recipes):
+            other = recipes[i - 1]
+            eager, eager_other = (_build(r, EagerLengthExpr, {}) for r in (recipe, other))
+            # 1: order first, on unmerged trees; 2: some nodes merged while
+            # built; 3: canonical form read before anything else
+            fresh = {}
+            lazy, lazy_other = (_build(r, LengthExpr, fresh) for r in (recipe, other))
+            assert (lazy.sign(), lazy < lazy_other, lazy <= lazy_other) == \
+                (eager.sign(), eager < eager_other, eager <= eager_other)
+            early = {}
+            merged, _ = (_build(r, LengthExpr, early, lambda e: rng.random() < 0.4 and e.terms)
+                         for r in (recipe, other))
+            for e in (lazy, merged, _build(recipe, LengthExpr, {})):
+                assert repr(e) == repr(eager)
+                assert e.terms == eager.terms
+                assert (e == lazy_other) == (eager == eager_other)
+                assert (e.sign(), e < lazy_other, e <= lazy_other) == \
+                    (eager.sign(), eager < eager_other, eager <= eager_other)
+                assert (e.is_zero(), e.is_rational()) == (eager.is_zero(), eager.is_rational())
+                assert e.enclosure(64) == eager.enclosure(64)
+                assert e.decimal_str() == eager.decimal_str()
+            zero += eager.is_zero()
+        assert zero >= 3

@@ -429,6 +429,22 @@ class TestEpsilon2:
         # the w-audit's line and the asymptotic audit's line
         assert lines == [f"epsilon2 = {want} (~0.472135955000)"] * 2
 
+    def test_matches_the_unfiltered_minimum(self):
+        # the margin of every tile is built and compared, with no bound filter
+        corpus = [parse_tiling((GOLDEN / f"{name}.til").read_bytes())
+                  for name in ("twoscale-2", "recursive-4", "recursive-12", "convex-6")]
+        corpus += [recursive(depth) for depth in range(13)]
+        corpus += [gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 2)),
+                   *random_patches(range(20))]
+        a = Triangle(*(P(x, y) for x, y in self.TIE_A))
+        b = Triangle(*(P(x + 10, y + 3) for x, y in self.TIE_B))
+        corpus += [TilingPatch((a, b)), TilingPatch((b, a))]
+        for patch in corpus:
+            grid = patch.grid
+            want = min(LengthExpr.sum((grid.length(s1), grid.length(s2), grid.length(s3, -1)))
+                       for s1, s2, s3 in (t.squared_sides() for t in grid.tiles))
+            assert repr(epsilon2(patch)) == repr(want)
+
     def test_one_margin_per_shape(self, monkeypatch):
         # 216 tiles of two shapes: one exact comparison
         patch = gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 6, 6))
