@@ -268,9 +268,14 @@ def _joined_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(
-        _joined_negative_values(sys.argv[1:] if argv is None else argv))
+    # TILING/1 numbers have no length limit, so the command lifts CPython's
+    # int<->str digit limit (3.10.7 and later) and then restores the caller's.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(
+            _joined_negative_values(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except (TilingParseError, GeneratorError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -279,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

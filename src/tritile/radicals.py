@@ -18,16 +18,16 @@ canonical form is built when ``terms``, ``repr``, ``==``, ``is_zero``,
 ``is_rational``, ``enclosure`` or ``decimal_str`` first reads it, from
 the operands' forms, so it is the form that merging at every step gives
 (``(sqrt(2) - sqrt(2)) + sqrt(8)`` is ``sqrt(8)``), and the operands are
-then freed.  ``sign()`` and the order comparisons ``<``, ``<=``, ``>``
-and ``>=`` first bound the unmerged operands at ``START_BITS`` on
-integers, one ``isqrt`` per term; the bounds are exact, so this filter
-never guesses.  When they do not settle the sign (or the order: they
-overlap or touch), the canonical form of the value (or of the
-difference) is built, and if it is not empty its bounds are refined with
-doubling precision.  That terminates because the value is then known to
-be nonzero: the width shrinks to 0 as the precision doubles, so it
-eventually excludes 0, however large the coordinates are.  There is no
-precision cap.
+then freed.  ``sign()`` first bounds the unmerged operands at
+``START_BITS`` on integers, one ``isqrt`` per term; the bounds are exact,
+so this filter never guesses.  When they do not exclude 0, the canonical
+form is built, and if it is not empty its bounds are refined with
+doubling precision, with no cap.  That terminates, however large the
+coordinates are, because the value is then known to be nonzero and the
+width shrinks to 0.  The order comparisons ``<``, ``<=``, ``>`` and
+``>=`` are the sign of the unmerged difference, whose bounds are the
+operands' bounds subtracted (a term's bound does not depend on the
+common denominator), so disjoint operands settle it with no merge.
 
 Radicands are stored as rationals, for ``repr``, but the arithmetic runs
 on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
@@ -181,10 +181,7 @@ class LengthExpr:
     def __mul__(self, k: Fraction | int) -> "LengthExpr":
         if not isinstance(k, (Fraction, int)):
             return NotImplemented
-        product = LengthExpr([(self, k)] if k else None)
-        if k and self._terms is not None:
-            _build_canonical(product)   # a scaling, not a merge: see there
-        return product
+        return LengthExpr([(self, k)] if k else None)
 
     __rmul__ = __mul__
 
@@ -203,31 +200,28 @@ class LengthExpr:
             bits *= 2
         return iv
 
-    def refine(self, max_width: Fraction, start_bits: int = START_BITS) -> Interval:
+    def refine(self, max_width: Fraction) -> Interval:
         """Enclosure with width at most max_width (which must be positive)."""
         if max_width <= 0:
             raise ValueError("max_width must be positive")
-        return self.refine_until(lambda iv: iv.width <= max_width, start_bits)
+        return self.refine_until(lambda iv: iv.width <= max_width)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}.  The operands' START_BITS bounds settle
         it when they exclude 0; else the canonical form is built, and a
         nonzero one has a nonzero value (module docstring), so doubling the
         precision of its bounds eventually excludes 0."""
-        terms = self._terms
-        if terms is None:
-            lo, hi, _ = _bounds(_flat_terms(self), START_BITS)
-            if lo > 0 or hi < 0:
-                return 1 if lo > 0 else -1
-            terms = self.terms
-        if not terms:
-            return 0
-        bits = START_BITS
+        terms, bits = self._terms, START_BITS
         while True:
-            lo, hi, _ = _bounds(terms, bits)
+            lo, hi, _ = _bounds(_flat_terms(self) if terms is None else terms, bits)
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
-            bits *= 2
+            if terms is None:
+                terms = self.terms
+            elif not terms:
+                return 0
+            else:
+                bits *= 2
 
     # Rich comparisons are value comparisons; note that __eq__ therefore
     # deliberately disagrees with identity of the canonical forms
@@ -240,17 +234,10 @@ class LengthExpr:
         return (self - other).is_zero()
 
     def _compare(self, other: object, op: Callable[[int, int], bool]) -> bool:
-        """op(sign of self - other, 0), or NotImplemented for a non-LengthExpr.
-        The operands' START_BITS bounds settle the sign when they are
-        disjoint; when they overlap or touch, the exact difference decides."""
+        """op(sign of the unmerged self - other, 0), or NotImplemented for a
+        non-LengthExpr; disjoint operands settle it with no merge."""
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        alo, ahi, aden = _bounds(_flat_terms(self), START_BITS)
-        blo, bhi, bden = _bounds(_flat_terms(other), START_BITS)
-        if ahi * bden < blo * aden:
-            return op(-1, 0)
-        if alo * bden > bhi * aden:
-            return op(1, 0)
         return op((self - other).sign(), 0)
 
     def __lt__(self, other: "LengthExpr") -> bool:
@@ -300,8 +287,8 @@ def _build_canonical(e: LengthExpr) -> None:
     operand below it that has none, then free their operands.  A node's
     form is the merge of its operands' forms, as if each had been merged
     when built: a class keeps the smallest radicand seen in its own
-    operand, even one whose terms cancelled there.  One operand times
-    k != 0 needs no merge: a canonical form times k is canonical."""
+    operand, even one whose terms cancelled there.  A canonical form times
+    k != 0 merges to itself times k."""
     stack = [e]
     while stack:
         x = stack[-1]
@@ -314,18 +301,13 @@ def _build_canonical(e: LengthExpr) -> None:
             stack += pending
             continue
         stack.pop()
-        y, k = parts[0]
-        if len(parts) == 1 and isinstance(y, LengthExpr) and k:
-            terms = tuple(_scaled(y._terms, k))
-        else:
-            raw: list[tuple[Fraction, Fraction]] = []
-            for y, k in parts:
-                if isinstance(y, LengthExpr):
-                    raw += _scaled(y._terms, k)
-                else:
-                    raw.append((y, k))
-            terms = _merge_terms(raw)
-        object.__setattr__(x, "_terms", terms)
+        raw: list[tuple[Fraction, Fraction]] = []
+        for y, k in parts:
+            if isinstance(y, LengthExpr):
+                raw += _scaled(y._terms, k)
+            else:
+                raw.append((y, k))
+        object.__setattr__(x, "_terms", _merge_terms(raw))
         object.__setattr__(x, "_parts", None)
 
 

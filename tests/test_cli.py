@@ -1,4 +1,5 @@
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -274,6 +275,57 @@ class TestHugeCoordinates:
             results.append((code, _statuses(out)))
         assert results[0][1]
         assert results[1] == results[0]
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int<->str digit limit during the test, then the
+    caller's again."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def _long_patch(tmp_path, digits: int) -> str:
+    """One right triangle whose legs are 10**(digits - 1), written out."""
+    n = "1" + "0" * (digits - 1)
+    path = tmp_path / f"long{digits}.til"
+    path.write_text(f"#TILING 1\ntri 0 0 {n} 0 0 {n}\n")
+    return str(path)
+
+
+class TestLongNumbers:
+    """TILING/1 numbers have no length limit, so neither has the CLI: each
+    command lifts CPython's int<->str digit limit, then restores it."""
+
+    def test_long_radicand_is_audited_and_printed(self, tmp_path, default_digit_limit):
+        path = _long_patch(tmp_path, 2201)
+        code, out, err = run(["audit", path], tmp_path)
+        assert (code, err) == (0, "")
+        # 2*N - sqrt(2*N**2) for N = 10**2200: a 4401-digit radicand
+        assert f"epsilon2 = 2{'0' * 2200} - sqrt(2{'0' * 4400}) (~" in out
+        code, out, err = run(["stats", path], tmp_path)
+        assert (code, err) == (0, "") and "epsilon2 = ~" in out
+
+    def test_5001_digit_numbers_validate(self, tmp_path, default_digit_limit):
+        code, out, err = run(["validate", _long_patch(tmp_path, 5001)], tmp_path)
+        assert (code, out, err) == (0, "valid = yes\nboundary_vertices = 3\n", "")
+
+    def test_precision_past_the_digit_limit(self, tmp_path, default_digit_limit):
+        golden = Path(__file__).parent / "golden" / "recursive-4.til"
+        code, out, err = run(["stats", str(golden), "--precision-bits", "20000"], tmp_path)
+        assert (code, err) == (0, "")
+        assert len(max(out.splitlines(), key=len)) > 6666
+
+    def test_callers_limit_restored(self, tmp_path, default_digit_limit):
+        code, _, _ = run(["audit", _long_patch(tmp_path, 2201)], tmp_path)
+        assert code == 0 and sys.get_int_max_str_digits() == default_digit_limit
+        with pytest.raises(SystemExit):
+            run(["audit"], tmp_path)  # usage error
+        assert sys.get_int_max_str_digits() == default_digit_limit
 
 
 class TestInternalErrors:

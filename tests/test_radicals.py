@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import Interval, LengthExpr, Point, RecursiveSplitSpec, gen_recursive_split
+from tritile import Interval, LengthExpr, Point, RecursiveSplitSpec, gen_recursive_split, radicals
 from tritile.geometry import sq_dist
 from tritile.radicals import fraction_decimal
 
@@ -167,11 +167,13 @@ class TestRichComparisons:
             assert x <= y and x >= y
 
     def test_disjoint_enclosures_skip_the_difference(self, monkeypatch):
-        def no_difference(*args):
-            raise AssertionError("exact difference built")
-        monkeypatch.setattr(LengthExpr, "__sub__", no_difference)
-        assert sq(2) < sq(3) and sq(3) > sq(2)
-        assert sq(2) <= LengthExpr.rational(2) and LengthExpr.rational(2) >= sq(2)
+        """Disjoint bounds settle every order, both ways round, with no merge."""
+        def no_merge(*args):
+            raise AssertionError("exact difference merged")
+        monkeypatch.setattr(radicals, "_merge_terms", no_merge)
+        for a, b in ((sq(2), sq(3)), (sq(2), LengthExpr.rational(2))):
+            assert a < b and a <= b and b > a and b >= a
+            assert not (b < a or b <= a or a > b or a >= b)
 
     def test_order_against_a_non_length_is_a_type_error(self):
         with pytest.raises(TypeError):
@@ -424,6 +426,12 @@ class EagerLengthExpr:
     def __le__(self, other):
         return (self - other).sign() <= 0
 
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
     def __repr__(self):
         out = []
         for r, c in self.terms:
@@ -548,8 +556,10 @@ class TestDeferredCanonicalForm:
             # built; 3: canonical form read before anything else
             fresh = {}
             lazy, lazy_other = (_build(r, LengthExpr, fresh) for r in (recipe, other))
-            assert (lazy.sign(), lazy < lazy_other, lazy <= lazy_other) == \
-                (eager.sign(), eager < eager_other, eager <= eager_other)
+            assert (lazy.sign(), lazy < lazy_other, lazy <= lazy_other,
+                    lazy > lazy_other, lazy >= lazy_other) == \
+                (eager.sign(), eager < eager_other, eager <= eager_other,
+                 eager > eager_other, eager >= eager_other)
             early = {}
             merged, _ = (_build(r, LengthExpr, early, lambda e: rng.random() < 0.4 and e.terms)
                          for r in (recipe, other))
@@ -557,8 +567,10 @@ class TestDeferredCanonicalForm:
                 assert repr(e) == repr(eager)
                 assert e.terms == eager.terms
                 assert (e == lazy_other) == (eager == eager_other)
-                assert (e.sign(), e < lazy_other, e <= lazy_other) == \
-                    (eager.sign(), eager < eager_other, eager <= eager_other)
+                assert (e.sign(), e < lazy_other, e <= lazy_other,
+                        e > lazy_other, e >= lazy_other) == \
+                    (eager.sign(), eager < eager_other, eager <= eager_other,
+                     eager > eager_other, eager >= eager_other)
                 assert (e.is_zero(), e.is_rational()) == (eager.is_zero(), eager.is_rational())
                 assert e.enclosure(64) == eager.enclosure(64)
                 assert e.decimal_str() == eager.decimal_str()
