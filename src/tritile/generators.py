@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import (Point, Triangle, cross, is_convex, reflect_across_bisector,
@@ -24,7 +24,8 @@ class GeneratorError(ValueError):
 
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     """Validate once.  A patch without a region gets the derived one and
-    keeps this report: validating it with that region gives an equal one."""
+    keeps this report, its graph re-pointed at the new patch (validating
+    it with that region gives an equal report)."""
     report = patch.validation
     if not report.ok:
         raise GeneratorError(
@@ -33,7 +34,8 @@ def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     if patch.region is not None:
         return patch
     with_region = patch.with_region(report.derived_region)
-    with_region.__dict__["validation"] = report
+    with_region.__dict__["validation"] = replace(
+        report, graph=replace(report.graph, patch=with_region))
     return with_region
 
 
@@ -47,7 +49,9 @@ class RecursiveSplitSpec:
     depth: int
 
     def __post_init__(self) -> None:
-        if cross(*self.base) <= 0:
+        if cross(*self.base) == 0:
+            raise GeneratorError("base triangle is degenerate")
+        if cross(*self.base) < 0:
             raise GeneratorError("base triangle must be counterclockwise")
         if self.t <= 1:
             raise GeneratorError("expansion factor must exceed 1")

@@ -19,10 +19,11 @@ and keeps the vertex->tiles map ``incident_tiles``.  An edge is on the
 boundary iff one side covers it, and a boundary edge is full iff that
 side spans it, partial otherwise.  :mod:`tritile.validate` lists the
 boundary edges, certifies that they form one simple counterclockwise
-cycle and derives the region from it.  The :class:`IncidenceGraph` of a
-*valid* patch reads every count (v, e, v*, v_bd, e_full, e_part) from the
-validator's soup and boundary edges, and caches what later layers derive
-(stretches, labels, eps2), so every audit takes just the graph.
+cycle, derives the region from it and, for a *valid* patch, builds the
+:class:`IncidenceGraph` on its soup and boundary edges.  The graph reads
+every count (v, e, v*, v_bd, e_full, e_part) off them, and caches what
+later layers derive (stretches, labels, eps2), so every audit takes just
+the graph.
 
 Every point, position and line key in the soup and the graph is a grid
 value; only the graph's ``region`` is rational (``outline`` is its grid form).
@@ -43,7 +44,6 @@ from .report import AuditRecord
 if TYPE_CHECKING:
     from .radicals import LengthExpr
     from .stretches import SideLabel, Stretch
-    from .validate import ValidationReport
 
 LineKey = tuple[int, int, int]
 
@@ -237,16 +237,6 @@ class IncidenceGraph:
     def e_part(self) -> int:
         return len(self.boundary_edges) - self.e_full
 
-    @classmethod
-    def from_report(cls, patch: TilingPatch, report: ValidationReport) -> IncidenceGraph:
-        """Graph of a patch from its validation report, reusing its soup."""
-        if not report.ok:
-            raise ValueError(
-                "invalid patch: " + "; ".join(v.describe() for v in report.violations))
-        boundary_pts = {p for e in report.boundary for p in (e.a, e.b)}
-        return cls(patch, report.soup, report.derived_region, report.outline,
-                   report.boundary, boundary_pts)
-
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
         """Tiles sharing a positive-length boundary segment."""
@@ -284,9 +274,13 @@ class IncidenceGraph:
 
 
 def build_incidence(patch: TilingPatch) -> IncidenceGraph:
-    """The incidence graph of a valid patch (ValueError if invalid), built
-    once from the validator's own soup and cached on the patch."""
-    return patch.incidence
+    """The incidence graph of a valid patch (ValueError if invalid), which
+    the validator built on its own soup: ``patch.validation.graph``."""
+    report = patch.validation
+    if report.graph is None:
+        raise ValueError(
+            "invalid patch: " + "; ".join(v.describe() for v in report.violations))
+    return report.graph
 
 
 def graph_audit(g: IncidenceGraph) -> AuditRecord:

@@ -30,7 +30,6 @@ from .geometry import Point, Triangle, format_rational, parse_rational, sq_dist,
 from .radicals import Interval, LengthExpr
 
 if TYPE_CHECKING:
-    from .incidence import IncidenceGraph
     from .validate import ValidationReport
 
 MAGIC = "#TILING 1"
@@ -91,15 +90,9 @@ class TilingPatch:
 
     @cached_property
     def validation(self) -> ValidationReport:
-        """The validator's report on this patch, with the edge soup it built."""
+        """The validator's report on this patch, with its incidence graph."""
         from .validate import validate_patch
         return validate_patch(self)
-
-    @cached_property
-    def incidence(self) -> IncidenceGraph:
-        """The incidence graph; see :func:`tritile.incidence.build_incidence`."""
-        from .incidence import IncidenceGraph
-        return IncidenceGraph.from_report(self, self.validation)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
 
 from .geometry import Point, is_convex, sq_dist
 from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
 from .model import Grid, TilingPatch
-from .radicals import LengthExpr
+from .radicals import START_BITS, LengthExpr, _bounds
 from .report import AuditRecord
 
 
@@ -186,8 +185,8 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
     Congruent tiles have equal margins, so one margin is considered per
     shape (squared side lengths s1 <= s2 <= s3 on the grid), in tile
     order; on a tie the first tile's margin, and so its written form,
-    wins.  With x = isqrt(s << 128) per side, the shape's margin times D
-    times 2**64 lies in [L - 1, L + 2], L = x1 + x2 - x3.  Only shapes
+    wins.  Each shape's grid margin gets integer bounds from ``_bounds``;
+    its radicands are ints, so all share one denominator.  Only shapes
     whose lower bound is at most the least upper bound can be the
     minimum, so only their margins are built exactly; `min` over them,
     in tile order, keeps the first of equal margins written differently
@@ -198,11 +197,11 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
         raise ValueError("empty patch")
     grid = patch.grid
     shapes = dict.fromkeys(t.squared_sides() for t in grid.tiles)
-    approx = {(s1, s2, s3): isqrt(s1 << 128) + isqrt(s2 << 128) - isqrt(s3 << 128)
+    bounds = {(s1, s2, s3): _bounds(((s1, 1), (s2, 1), (s3, -1)), START_BITS)
               for s1, s2, s3 in shapes}
-    cut = min(approx.values()) + 3
+    cut = min(hi for _, hi, _ in bounds.values())
     return min(LengthExpr.sum((grid.length(s1), grid.length(s2), grid.length(s3, -1)))
-               for (s1, s2, s3), a in approx.items() if a <= cut)
+               for (s1, s2, s3), (lo, _, _) in bounds.items() if lo <= cut)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import Point, cross, point_on_segment_interior, twice_area
-from .incidence import AtomicEdge, EdgeSoup, build_soup, line_through, line_pos
+from .incidence import AtomicEdge, EdgeSoup, IncidenceGraph, build_soup, line_through, line_pos
 from .model import TilingPatch
 
 OVERLAP = "OVERLAP"
@@ -55,11 +55,8 @@ class ValidationReport:
     ok: bool
     violations: list[Violation]
     derived_region: tuple[Point, ...] | None
-    # the soup the checks ran on, the derived region on the grid and the
-    # boundary edges in soup order, handed over to the incidence graph
-    soup: EdgeSoup | None = field(default=None, repr=False, compare=False)
-    outline: tuple[Point, ...] | None = field(default=None, repr=False, compare=False)
-    boundary: list[AtomicEdge] = field(default_factory=list, repr=False, compare=False)
+    # a valid patch's incidence graph, on the soup the checks ran on
+    graph: IncidenceGraph | None = field(default=None, repr=False, compare=False)
 
     def render(self) -> str:
         lines = [f"valid = {'yes' if self.ok else 'no'}"]
@@ -260,7 +257,8 @@ def _count_parts(n: int, groups) -> int:
 
 def validate_patch(patch: TilingPatch) -> ValidationReport:
     """Run every validity check, on the patch's grid, and report all
-    violations found, each point in them divided back by ``grid.point``."""
+    violations found, each point in them divided back by ``grid.point``,
+    and a valid patch's incidence graph."""
     violations: list[Violation] = []
     if not patch.tiles:
         return ValidationReport(False, [Violation(EMPTY, (), "patch has no tiles")], None)
@@ -347,7 +345,9 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                 REGION_MISMATCH, (), "derived boundary differs from region"))
 
     derived = None if outline is None else tuple(map(pt, outline))
-    return ValidationReport(not violations, violations, derived, soup, outline, boundary)
+    graph = None if violations else IncidenceGraph(
+        patch, soup, derived, outline, boundary, {p for e in boundary for p in (e.a, e.b)})
+    return ValidationReport(not violations, violations, derived, graph)
 
 
 def _geometric_boundary_checks(boundary: list[AtomicEdge], soup: EdgeSoup, pt
@@ -373,20 +373,19 @@ def _geometric_boundary_checks(boundary: list[AtomicEdge], soup: EdgeSoup, pt
 
 
 def derive_region(patch: TilingPatch) -> tuple[Point, ...]:
-    """Counterclockwise boundary polygon of the tile union.
-
-    A region-less patch is read through its cached ``patch.validation``,
-    so a later ``build_incidence(patch)`` reuses that report; a patch
-    with a region is validated again as a region-less copy.
+    """Counterclockwise boundary polygon of the tile union, read off the
+    patch's cached ``patch.validation``; the violations of a stated region
+    (REGION_INVALID, REGION_MISMATCH, UNMATCHED_EDGE) do not count.
 
     Raises :class:`RegionError` when the union is not a simply connected
     polygon (hole, disconnection, pinch, or overlap).
     """
-    report = (patch if patch.region is None else patch.with_region(None)).validation
-    if report.derived_region is None or not report.ok:
-        kinds = {v.kind for v in report.violations}
-        for kind in (HOLE, DISCONNECTED, NOT_SIMPLE, OVERLAP, EMPTY):
-            if kind in kinds:
-                raise RegionError(kind, "; ".join(v.describe() for v in report.violations))
-        raise RegionError(NOT_SIMPLE, "; ".join(v.describe() for v in report.violations))
+    report = patch.validation
+    others = [v for v in report.violations
+              if v.kind not in (REGION_INVALID, REGION_MISMATCH, UNMATCHED_EDGE)]
+    if report.derived_region is None or others:
+        kinds = {v.kind for v in others}
+        kind = next((k for k in (HOLE, DISCONNECTED, NOT_SIMPLE, OVERLAP, EMPTY) if k in kinds),
+                    NOT_SIMPLE)
+        raise RegionError(kind, "; ".join(v.describe() for v in others))
     return report.derived_region

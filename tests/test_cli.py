@@ -53,6 +53,17 @@ class TestGenerate:
                             "-o", str(tmp_path / "x.til")], tmp_path)
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("base, message", [
+        ("0,0,1,1,2,2", "base triangle is degenerate"),
+        ("0,0,0,1,1,0", "base triangle must be counterclockwise"),
+    ], ids=["collinear", "clockwise"])
+    def test_bad_recursive_base_exit_1(self, tmp_path, base, message):
+        out = tmp_path / "x.til"
+        code, stdout, err = run(["generate", "recursive", "--base", base,
+                                 "-o", str(out)], tmp_path)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestNegativeValues:
     """An option value that starts with a minus sign is a value, as in the
@@ -151,6 +162,11 @@ class TestAudit:
         code, out, _ = run(["audit", path, "--disk", "3,2,1"], tmp_path)
         assert code == 0
         assert "[extraction]" in out and "ring_t" in out
+
+    def test_disk_needs_three_rationals(self, til, tmp_path):
+        path = til("a.til", "generate", "recursive", "--depth", "1")
+        code, out, err = run(["audit", path, "--disk", "1,2"], tmp_path)
+        assert (code, out, err) == (1, "", "error: expected 3 comma-separated rationals\n")
 
     def test_require_applicable_upgrades(self, til, tmp_path):
         path = til("f.til", "generate", "convex", "--k", "4", "--seed", "0",

@@ -437,3 +437,14 @@ class TestAsymptoticAudit:
         rec = asymptotic_audit(fixtures.notched_split(), [],
                                coverage_certificate=True)
         assert rec.get("partial_boundary_bound").status is Status.FAIL
+
+    def test_unit_bound_on_an_extracted_piece(self):
+        res = extract_disk_patch(two_scale(4, 4), P(3, 2), F(1))
+        rec = asymptotic_audit(res.patch, res.ring, unit_perimeter=True,
+                               coverage_certificate=res.coverage_certificate)
+        entry = rec.get("full_boundary_bound_unit")
+        assert (entry.value, entry.status) == ("11/2 31", Status.PASS)
+        # with no ring the bound fails; certified, that is a failure, not n/a
+        rec = asymptotic_audit(res.patch, [], unit_perimeter=True, coverage_certificate=True)
+        entry = rec.get("full_boundary_bound_unit")
+        assert (entry.value, entry.status) == ("11/2 0", Status.FAIL)

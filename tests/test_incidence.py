@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
-                     apply_affine, build_incidence, gen_recursive_split,
+from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle, TwoScaleSpec,
+                     apply_affine, build_incidence, convex_polygon_on_circle,
+                     gen_convex_triangulation, gen_recursive_split, gen_two_scale_periodic,
                      graph_audit, parse_tiling, point_on_segment_interior)
 from tritile.incidence import build_soup
 
@@ -131,6 +132,32 @@ class TestCounts:
     def test_invalid_patch_rejected(self):
         with pytest.raises(ValueError, match="invalid patch"):
             build_incidence(fixtures.annulus())
+
+
+class TestHandOver:
+    """The validator builds a valid patch's graph and hands it over in its
+    report; the graph names the patch it was asked for."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_tiling((GOLDEN / "recursive-4.til").read_bytes()),
+        lambda: parse_tiling(b"#TILING 1\ntri 0 0 1 0 0 1\n"),
+        fixtures.square_diag,
+        lambda: gen_two_scale_periodic(TwoScaleSpec(F(1), F(1), 2, 2)),
+        lambda: gen_recursive_split(RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 3)),
+        lambda: gen_convex_triangulation(convex_polygon_on_circle(6, 3), "random", 3),
+    ], ids=["parsed", "parsed-no-region", "code-built", "twoscale", "recursive", "convex"])
+    def test_graph_names_its_patch(self, make):
+        patch = make()
+        graph = build_incidence(patch)
+        assert graph.patch is patch
+        assert patch.validation.graph is graph
+
+    def test_invalid_patch_has_no_graph(self):
+        patch = fixtures.annulus()
+        assert patch.validation.graph is None
+        with pytest.raises(ValueError) as err:
+            build_incidence(patch)
+        assert str(err.value) == "invalid patch: HOLE interior boundary cycle through (1, 1)"
 
 
 class TestAudit:

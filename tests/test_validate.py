@@ -209,6 +209,37 @@ class TestDeriveRegion:
             derive_region(fixtures.bowtie())
         assert err.value.kind == NOT_SIMPLE
 
+    @pytest.mark.parametrize("region", [
+        (P(0, 0), P(2, 0), P(2, 2), P(0, 2)),
+        (P(0, 0), P(F(1, 3), 0), P(1, 0), P(1, 1), P(0, 1)),
+        (P(0, 0), P(1, 1), P(1, 0), P(0, 1)),
+    ], ids=["mismatch", "finer-vertex", "not-simple"])
+    def test_stated_region_does_not_count(self, region):
+        patch = fixtures.square_diag().with_region(region)
+        assert derive_region(patch) == (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+
+    def test_error_lists_only_the_unions_violations(self):
+        bare = fixtures.annulus()
+        stated = bare.with_region((P(0, 0), P(4, 0), P(4, 4), P(0, 4)))
+        assert UNMATCHED_EDGE in {v.kind for v in stated.validation.violations}
+        errors = []
+        for patch in (bare, stated):
+            with pytest.raises(RegionError) as err:
+                derive_region(patch)
+            errors.append((err.value.kind, str(err.value)))
+        assert errors[0] == errors[1] == (HOLE, "HOLE: HOLE interior boundary cycle through (1, 1)")
+
+    def test_reads_the_cached_report(self, monkeypatch):
+        import tritile.validate
+        patch = fixtures.rect_l_shape()
+        assert patch.region is not None and patch.validation.ok
+        calls = []
+        real = tritile.validate.validate_patch
+        monkeypatch.setattr(tritile.validate, "validate_patch",
+                            lambda p: calls.append(p) or real(p))
+        assert derive_region(patch) == patch.validation.derived_region
+        assert calls == []
+
 
 class TestHelpers:
     def test_point_in_polygon(self):
