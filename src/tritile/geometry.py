@@ -139,17 +139,27 @@ class Triangle:
     c: Point
 
     def __post_init__(self) -> None:
-        o = orientation(self.a, self.b, self.c)
-        if o is Orientation.COLLINEAR:
+        turn = cross(self.a, self.b, self.c)
+        if turn == 0:
             raise ValueError(f"degenerate triangle {self.a} {self.b} {self.c}")
-        pts = [self.a, self.b, self.c]
-        if o is Orientation.CW:
-            pts = [pts[0], pts[2], pts[1]]
-        start = min(range(3), key=lambda i: pts[i].key())
+        pts = [self.a, self.b, self.c] if turn > 0 else [self.a, self.c, self.b]
+        keys = [p.key() for p in pts]
+        start = keys.index(min(keys))
         pts = pts[start:] + pts[:start]
         object.__setattr__(self, "a", pts[0])
         object.__setattr__(self, "b", pts[1])
         object.__setattr__(self, "c", pts[2])
+
+    @classmethod
+    def normalized(cls, a: Point, b: Point, c: Point) -> "Triangle":
+        """The triangle abc, whose vertices must already be CCW with the
+        smallest first; kept as given, with no test.  Scaling a stored
+        triangle by a positive factor keeps both properties."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "a", a)
+        object.__setattr__(t, "b", b)
+        object.__setattr__(t, "c", c)
+        return t
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:

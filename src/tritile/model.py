@@ -14,7 +14,10 @@ validation beyond syntax and triangle nondegeneracy; see
 :func:`tritile.validate.validate_patch` for the geometric checks.
 
 A patch holds rationals; its analysis runs on its :class:`Grid`, the patch
-scaled once by the common denominator of its coordinates to ints.
+scaled once by the common denominator D of its coordinates to ints.  A
+parsed patch gets its grid from the parse, which reads each number once,
+takes D over the file and puts each triangle in order on the grid's ints;
+a patch built in code gets its grid on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .geometry import Point, Triangle, format_rational, parse_rational, sq_dist, twice_area
+from .geometry import Point, Triangle, cross, format_rational, parse_rational, sq_dist, twice_area
 from .radicals import Interval, LengthExpr
 
 if TYPE_CHECKING:
@@ -65,7 +68,8 @@ class TilingPatch:
         return len(self.tiles)
 
     def tile_area_sum(self) -> Fraction:
-        return sum((t.area for t in self.tiles), Fraction(0))
+        grid = self.grid
+        return Fraction(sum(cross(*t.vertices) for t in grid.tiles), 2 * grid.scale ** 2)
 
     def region_area(self) -> Fraction | None:
         if self.region is None:
@@ -77,7 +81,9 @@ class TilingPatch:
 
     @cached_property
     def grid(self) -> Grid:
-        """The patch on its integer grid, computed on first use."""
+        """The patch on its integer grid.  `parse_tiling` stores the grid it
+        built; for a patch built in code it is computed on first use, from
+        the lcm of the coordinates' denominators."""
         pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
         scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
 
@@ -85,7 +91,7 @@ class TilingPatch:
             return Point(p.x.numerator * (scale // p.x.denominator),
                          p.y.numerator * (scale // p.y.denominator))
 
-        return Grid(scale, tuple(Triangle(*map(up, t.vertices)) for t in self.tiles),
+        return Grid(scale, tuple(Triangle.normalized(*map(up, t.vertices)) for t in self.tiles),
                     None if self.region is None else tuple(map(up, self.region)))
 
     @cached_property
@@ -128,65 +134,90 @@ def polygon_area(poly: tuple[Point, ...]) -> Fraction:
     return Fraction(twice_area(poly), 2)
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+def _read(values: dict[str, Fraction], args: list[str], line_no: int) -> None:
+    """Read each number text not met before into `values`."""
+    for a in args:
+        if a not in values:
+            try:
+                values[a] = parse_rational(a)
+            except ValueError as exc:
+                raise TilingParseError(line_no, str(exc)) from exc
 
 
 def parse_tiling(data: bytes | str) -> TilingPatch:
-    """Parse TILING/1 text into a patch; raises TilingParseError."""
+    """Parse TILING/1 text into a patch, with its grid; raises TilingParseError.
+
+    The lines are scanned for syntax first, so the triangles are put in
+    order only once D is known, on the grid's ints; the first fault in
+    line order is the one reported."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = text.split("\n")
     if not lines or lines[0].rstrip() != MAGIC:
         raise TilingParseError(1, f"expected magic {MAGIC!r}")
 
-    tiles: list[Triangle] = []
-    region: tuple[Point, ...] | None = None
+    values: dict[str, Fraction] = {}  # each distinct number text, read once
+    rows: list[tuple[int, list[str]]] = []
+    region_args: list[str] | None = None
     metadata: list[tuple[str, str]] = []
+    fault = None
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
+            line = raw.partition("#")[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            kind, args = fields[0], fields[1:]
+            if kind == "tri":
+                if len(args) != 6:
+                    raise TilingParseError(line_no, "tri needs 6 coordinates")
+                _read(values, args, line_no)
+                rows.append((line_no, args))
+            elif kind == "region":
+                if region_args is not None:
+                    raise TilingParseError(line_no, "duplicate region line")
+                if not args:
+                    raise TilingParseError(line_no, "region needs a vertex count")
+                if not re.fullmatch("[0-9]+", args[0]):
+                    raise TilingParseError(line_no, "malformed vertex count")
+                n = int(args[0])
+                if n < 3 or len(args) != 1 + 2 * n:
+                    raise TilingParseError(line_no, f"region expects {2 * max(n, 3)} coordinates")
+                region_args = args[1:]
+                _read(values, region_args, line_no)
+            elif kind == "meta":
+                if not args:
+                    raise TilingParseError(line_no, "meta needs a key")
+                key = args[0]
+                value = line.split(None, 2)[2] if len(args) > 1 else ""
+                metadata.append((key, value))
+            else:
+                raise TilingParseError(line_no, f"unknown directive {kind!r}")
+    except TilingParseError as exc:
+        fault = exc  # unless a degenerate triangle on an earlier line wins
 
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
-        if kind == "tri":
-            if len(args) != 6:
-                raise TilingParseError(line_no, "tri needs 6 coordinates")
-            try:
-                coords = [parse_rational(a) for a in args]
-            except ValueError as exc:
-                raise TilingParseError(line_no, str(exc)) from exc
-            pts = [Point(coords[i], coords[i + 1]) for i in (0, 2, 4)]
-            try:
-                tiles.append(Triangle(*pts))
-            except ValueError as exc:
-                raise TilingParseError(line_no, f"degenerate triangle") from exc
-        elif kind == "region":
-            if region is not None:
-                raise TilingParseError(line_no, "duplicate region line")
-            if not args:
-                raise TilingParseError(line_no, "region needs a vertex count")
-            if not re.fullmatch("[0-9]+", args[0]):
-                raise TilingParseError(line_no, "malformed vertex count")
-            n = int(args[0])
-            if n < 3 or len(args) != 1 + 2 * n:
-                raise TilingParseError(line_no, f"region expects {2 * max(n, 3)} coordinates")
-            try:
-                coords = [parse_rational(a) for a in args[1:]]
-            except ValueError as exc:
-                raise TilingParseError(line_no, str(exc)) from exc
-            region = tuple(Point(coords[2 * i], coords[2 * i + 1]) for i in range(n))
-        elif kind == "meta":
-            if not args:
-                raise TilingParseError(line_no, "meta needs a key")
-            key = args[0]
-            value = line.split(None, 2)[2] if len(args) > 1 else ""
-            metadata.append((key, value))
-        else:
-            raise TilingParseError(line_no, f"unknown directive {kind!r}")
+    scale = math.lcm(*(q.denominator for q in values.values()))
+    on_grid = {a: q.numerator * (scale // q.denominator) for a, q in values.items()}
+    rational = {on_grid[a]: q for a, q in values.items()}
+    tiles, grid_tiles = [], []
+    for line_no, args in rows:
+        xy = [on_grid[a] for a in args]
+        try:
+            t = Triangle(Point(xy[0], xy[1]), Point(xy[2], xy[3]), Point(xy[4], xy[5]))
+        except ValueError:
+            raise TilingParseError(line_no, "degenerate triangle") from None
+        grid_tiles.append(t)
+        tiles.append(Triangle.normalized(*[Point(rational[p.x], rational[p.y]) for p in t.vertices]))
+    if fault is not None:
+        raise fault
 
-    return TilingPatch(tuple(tiles), region, tuple(metadata))
+    region = grid_region = None
+    if region_args is not None:
+        xy = [on_grid[a] for a in region_args]
+        grid_region = tuple(map(Point, xy[::2], xy[1::2]))
+        region = tuple(Point(rational[p.x], rational[p.y]) for p in grid_region)
+    patch = TilingPatch(tuple(tiles), region, tuple(metadata))
+    patch.__dict__["grid"] = Grid(scale, tuple(grid_tiles), grid_region)
+    return patch
 
 
 def serialize_tiling(patch: TilingPatch) -> bytes:

@@ -330,6 +330,15 @@ class TestLongNumbers:
         code, out, err = run(["validate", _long_patch(tmp_path, 5001)], tmp_path)
         assert (code, out, err) == (0, "valid = yes\nboundary_vertices = 3\n", "")
 
+    def test_5001_digit_denominators_validate(self, tmp_path, default_digit_limit):
+        path = tmp_path / "frac5001.til"
+        n = "1/1" + "0" * 5000
+        path.write_text(f"#TILING 1\ntri 0 0 {n} 0 0 {n}\n")
+        code, out, err = run(["validate", str(path)], tmp_path)
+        assert (code, out, err) == (0, "valid = yes\nboundary_vertices = 3\n", "")
+        code, out, err = run(["audit", str(path)], tmp_path)
+        assert (code, err) == (0, "") and " fail\n" not in out
+
     def test_precision_past_the_digit_limit(self, tmp_path, default_digit_limit):
         golden = Path(__file__).parent / "golden" / "recursive-4.til"
         code, out, err = run(["stats", str(golden), "--precision-bits", "20000"], tmp_path)

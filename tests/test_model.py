@@ -1,13 +1,18 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tritile.geometry
 from tritile import (Point, TilingParseError, TilingPatch, Triangle,
                      apply_affine, parse_tiling, serialize_tiling,
                      side_length_range, validate_patch)
 
 from conftest import rand_triangle
+from test_random_patches import random_refined_patch
+
+GOLDEN = Path(__file__).parent / "golden"
 
 F = Fraction
 P = Point.of
@@ -82,6 +87,90 @@ class TestParse:
     def test_duplicate_region(self):
         with pytest.raises(TilingParseError, match="duplicate region"):
             parse_tiling(b"#TILING 1\nregion 3 0 0 2 0 0 2\nregion 3 0 0 2 0 0 2\n")
+
+
+def _first_fault(*lines: str) -> str:
+    with pytest.raises(TilingParseError) as info:
+        parse_tiling("\n".join(("#TILING 1",) + lines) + "\n")
+    return str(info.value)
+
+
+class TestFirstFault:
+    """The parse reads every line before it puts the triangles in order on
+    the grid, yet the fault on the earliest line is the one reported."""
+
+    def test_degenerate_before_malformed_rational(self):
+        assert _first_fault("tri 0 0 1 0 0 1", "tri 0 0 1 1 2 2", "meta k v",
+                            "tri 0 0 1.5 0 0 1") == "line 3: degenerate triangle"
+
+    def test_malformed_rational_before_degenerate(self):
+        assert _first_fault("tri 0 0 1 0 0 1", "tri 0 0 1.5 0 0 1", "meta k v",
+                            "tri 0 0 1 1 2 2") == "line 3: malformed rational '1.5'"
+
+    @pytest.mark.parametrize("region", [
+        "region 3 0 0 2 0 x 2", "region 2 0 0 2 0", "region 3 0 0 2 0 0 2/0"])
+    def test_bad_region_after_degenerate(self, region):
+        assert _first_fault("tri 0 0 1 1 2 2", region) == "line 2: degenerate triangle"
+
+    def test_duplicate_region_after_degenerate(self):
+        assert _first_fault("region 3 0 0 2 0 0 2", "tri 0 0 1 1 2 2",
+                            "region 3 0 0 2 0 0 2") == "line 3: degenerate triangle"
+
+    def test_zero_denominator_text(self):
+        assert (_first_fault("tri 0 0 1 0 0 1", "tri 0 0 1/0 0 0 1")
+                == "line 3: malformed rational '1/0' (zero denominator)")
+
+
+def _parsed_corpus():
+    for path in sorted(GOLDEN.glob("*.til")):
+        yield pytest.param(path.read_bytes(), id=path.stem)
+    for seed in range(50):
+        yield pytest.param(serialize_tiling(random_refined_patch(seed)), id=f"refined-{seed}")
+    for name, text in [
+        ("lowest-terms", "tri 0 0 2/4 0 0 -6/4"),
+        ("negative", "tri -1/3 -2 0 -5/6 -7/9 -1/2"),
+        ("region-only-denominators", "region 3 -1/7 -1/11 2 0 0 2\ntri 0 0 1 0 0 1"),
+        ("empty", ""),
+    ]:
+        yield pytest.param(f"#TILING 1\n{text}\n".encode(), id=name)
+
+
+class TestParsedGrid:
+    """A parsed patch gets its grid from the parse; a patch built in code
+    computes it from its rational tiles.  The two must agree."""
+
+    @pytest.mark.parametrize("data", _parsed_corpus())
+    def test_parsed_grid_equals_the_computed_one(self, data):
+        patch = parse_tiling(data)
+        built = TilingPatch(patch.tiles, patch.region, patch.metadata)
+        assert patch == built
+        assert patch.grid == built.grid
+        assert all(type(c) is int for t in patch.grid.tiles for p in t.vertices
+                   for c in (p.x, p.y))
+        assert all(type(c) is Fraction for t in patch.tiles for p in t.vertices
+                   for c in (p.x, p.y))
+        # the rational tiles are already in the order the constructor gives
+        assert tuple(Triangle(*t.vertices) for t in patch.tiles) == patch.tiles
+        assert patch.tile_area_sum() == sum((t.area for t in patch.tiles), Fraction(0))
+
+    @pytest.mark.parametrize("text, scale", [
+        ("tri 0 0 2/4 0 0 -6/4", 2),
+        ("tri -1/3 -2 0 -5/6 -7/9 -1/2", 18),
+        ("region 3 -1/7 -1/11 2 0 0 2\ntri 0 0 1 0 0 1", 77),
+        ("", 1),
+    ])
+    def test_scale_is_the_lcm_of_the_lowest_terms_denominators(self, text, scale):
+        patch = parse_tiling(f"#TILING 1\n{text}\n")
+        assert patch.grid.scale == scale
+
+    def test_one_orientation_test_per_tile_for_patch_and_grid(self, monkeypatch):
+        data = (GOLDEN / "twoscale-2.til").read_bytes()
+        calls = []
+        cross = tritile.geometry.cross
+        monkeypatch.setattr(tritile.geometry, "cross",
+                            lambda *args: calls.append(args) or cross(*args))
+        grid = parse_tiling(data).grid
+        assert len(calls) == len(grid.tiles)
 
 
 class TestSerialize:
