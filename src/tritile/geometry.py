@@ -96,7 +96,8 @@ def is_convex(poly: tuple[Point, ...]) -> bool:
     return all(cross(poly[i - 1], poly[i], poly[(i + 1) % n]) > 0 for i in range(n))
 
 
-def sq_dist(a: Point, b: Point) -> Fraction:
+def sq_dist(a: Point, b: Point) -> Fraction | int:
+    """Squared distance: an int between grid points."""
     dx = a.x - b.x
     dy = a.y - b.y
     return dx * dx + dy * dy
@@ -173,8 +174,8 @@ class Triangle:
     def area(self) -> Fraction:
         return Fraction(cross(self.a, self.b, self.c), 2)
 
-    def squared_sides(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Squared side lengths, ascending."""
+    def squared_sides(self) -> tuple[Fraction | int, ...]:
+        """Squared side lengths, ascending: ints for a grid triangle."""
         return tuple(sorted(sq_dist(p, q) for p, q in self.sides()))
 
     def perimeter(self) -> LengthExpr:

@@ -263,9 +263,14 @@ class IncidenceGraph:
         return side_labels(self)
 
     @cached_property
+    def min_margin(self) -> tuple[LengthExpr, tuple[int, int, int]]:
+        """eps2 and its shape (squared grid sides), as min_margin gives them."""
+        from .stretches import min_margin
+        return min_margin(self.patch)
+
+    @property
     def eps2(self) -> LengthExpr:
-        from .stretches import epsilon2
-        return epsilon2(self.patch)
+        return self.min_margin[0]
 
     @cached_property
     def composite_hops(self) -> list[int | None]:

@@ -15,8 +15,10 @@ side shared by two tiles or a full boundary side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .geometry import Point, is_convex, sq_dist
@@ -40,13 +42,20 @@ class SideLabel(Enum):
 
 @dataclass(frozen=True)
 class Stretch:
-    line: LineKey                   # on the grid
-    a: Point                        # rational, like the patch
-    b: Point
+    line: LineKey                   # on the grid, like the decks
     above: tuple[SideRef, ...]
     below: tuple[SideRef, ...]
     size: int
     klass: StretchClass
+    grid: Grid = field(repr=False)
+
+    @property
+    def a(self) -> Point:           # rational, like the patch
+        return self.grid.point(self.above[0].a)
+
+    @property
+    def b(self) -> Point:
+        return self.grid.point(self.above[-1].b)
 
     @property
     def side_items(self) -> list[SideRef]:
@@ -85,7 +94,7 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
     way (which, by definition, belong to no stretch)."""
     stretches: list[Stretch] = []
     shared: list[tuple[int, int, tuple[Point, Point]]] = []
-    pt = g.patch.grid.point
+    grid = g.patch.grid
 
     for key, edges in g.soup.lines.items():
         above: list[SideRef] = []
@@ -104,7 +113,8 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
                 # identical decompositions: shared side or full boundary side
                 if pa[0].is_side and pb[0].is_side:
                     t1, t2 = pa[0].side[0], pb[0].side[0]
-                    shared.append((min(t1, t2), max(t1, t2), (pt(pa[0].a), pt(pa[0].b))))
+                    shared.append((min(t1, t2), max(t1, t2),
+                                   (grid.point(pa[0].a), grid.point(pa[0].b))))
                 continue
             n_sides = sum(1 for i in pa + pb if i.is_side)
             if n_sides < len(pa) + len(pb):
@@ -113,7 +123,7 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
                 klass = StretchClass.TIGHT
             else:
                 klass = StretchClass.LOOSE_PROPER
-            stretches.append(Stretch(key, pt(pa[0].a), pt(pa[-1].b), pa, pb, n_sides, klass))
+            stretches.append(Stretch(key, pa, pb, n_sides, klass, grid))
 
     return stretches, sorted(shared, key=lambda s: (s[0], s[1]))
 
@@ -180,7 +190,12 @@ def no_shared_side_conditions(g: IncidenceGraph) -> AuditRecord:
 
 
 def epsilon2(patch: TilingPatch) -> LengthExpr:
-    """Minimum over tiles of (two shorter sides minus the longest side).
+    return min_margin(patch)[0]
+
+
+def min_margin(patch: TilingPatch) -> tuple[LengthExpr, tuple[int, int, int]]:
+    """eps2, the minimum over tiles of (two shorter sides minus the longest
+    side), and the shape it is the margin of.
 
     Congruent tiles have equal margins, so one margin is considered per
     shape (squared side lengths s1 <= s2 <= s3 on the grid), in tile
@@ -200,12 +215,17 @@ def epsilon2(patch: TilingPatch) -> LengthExpr:
     bounds = {(s1, s2, s3): _bounds(((s1, 1), (s2, 1), (s3, -1)), START_BITS)
               for s1, s2, s3 in shapes}
     cut = min(hi for _, hi, _ in bounds.values())
-    return min(LengthExpr.sum((grid.length(s1), grid.length(s2), grid.length(s3, -1)))
-               for (s1, s2, s3), (lo, _, _) in bounds.items() if lo <= cut)
+    margins = {s: LengthExpr.sum((grid.length(s[0]), grid.length(s[1]), grid.length(s[2], -1)))
+               for s, (lo, _, _) in bounds.items() if lo <= cut}
+    shape = min(margins, key=margins.__getitem__)
+    return margins[shape], shape
 
 
 @dataclass
 class WAudit:
+    """The W audit's results; each tile's share of W, ``contributions``, is
+    built on first read, once per key of ``tile_keys``."""
+
     applicable: bool
     sigma_tight: int
     loose_total_size: int               # L_loose: a count of sides
@@ -217,19 +237,28 @@ class WAudit:
     w_definition: LengthExpr
     w_identity: LengthExpr
     type_counts: dict[str, int]
-    contributions: list[LengthExpr]
+    tile_keys: list[tuple]              # per tile: squared grid sides, then labels
+    by_key: dict[tuple, LengthExpr]     # each key's contribution, built on first lookup
     record: AuditRecord = field(default_factory=lambda: AuditRecord("w-audit"))
+
+    @cached_property
+    def contributions(self) -> list[LengthExpr]:
+        return [self.by_key[key] for key in self.tile_keys]
 
 
 def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     """Compute W by its definition and via the tight-stretch identity
     W = -eps2 * sigma_tight, and verify they agree exactly.
 
+    Tiles with equal keys (squared grid sides, then labels, in side order)
+    contribute alike and fail the same checks, so each key is judged once,
+    by :func:`_tile_w`, which builds its contribution only if a check needs it.
+
     The audit assumes a share-free patch (strict mode): with shared sides
     present every check is reported n/a.
     """
     rec = AuditRecord("w-audit")
-    stretches, labels, eps2 = g.decomposition[0], g.labels, g.eps2
+    stretches, labels, (eps2, (e1, e2, e3)) = g.decomposition[0], g.labels, g.min_margin
     grid = g.patch.grid
     sigma = sum(1 for s in stretches if s.klass is StretchClass.TIGHT)
     loose = sum(s.size for s in stretches if s.klass is not StretchClass.TIGHT)
@@ -237,7 +266,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     if shared_side_pairs(g):
         rec.not_applicable("w_routes_agree", "patch has shared sides")
         return WAudit(False, sigma, loose, g.e_full, g.e_part, eps2, 0, 0,
-                      LengthExpr(), LengthExpr(), {}, [], rec)
+                      LengthExpr(), LengthExpr(), {}, [], {}, rec)
 
     n_long = sum(1 for v in labels.values() if v is SideLabel.LONG)
     n_short = sum(1 for v in labels.values() if v is SideLabel.SHORT)
@@ -273,23 +302,15 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     w_id = -(eps2 * sigma)
     rec.check("w_routes_agree", w_def == w_id, f"{w_def!r}", f"{w_id!r}")
 
-    # tiles with equal squared sides and labels, in side order, contribute
-    # alike and fail the same checks: each key is measured once, on its
-    # first tile, against eps2's multiples built once
     type_counts = {"type0": 0, "type1": 0, "type2": 0, "type3": 0, "exceptional": 0}
-    contributions: list[LengthExpr] = []
     failed: set[str] = set()
-    minus_eps2 = [eps2 * -k for k in range(4)]
-    memo: dict[tuple, tuple[LengthExpr, str, tuple[str, ...]]] = {}
-    for i, tile in enumerate(grid.tiles):
-        sqs = tuple(sq_dist(p, q) for p, q in tile.sides())
-        kinds = tuple(labels[(i, s)] for s in range(3))
-        key = sqs + kinds
-        if key not in memo:
-            memo[key] = _tile_w(grid, sqs, kinds, minus_eps2, unit_perimeter)
-        contrib, kind, fails = memo[key]
-        contributions.append(contrib)
-        type_counts[kind] += 1
+    keys = [tuple(sq_dist(p, q) for p, q in tile.sides()) + tuple(labels[(i, s)] for s in range(3))
+            for i, tile in enumerate(grid.tiles)]
+    by_key = _Contributions(grid, eps2)
+    eps2_bounds = _bounds(((e1, -1), (e2, -1), (e3, 1)), START_BITS)[:2]  # of -D * eps2
+    for key, count in Counter(keys).items():
+        kind, fails = _tile_w(key, by_key, eps2_bounds, unit_perimeter)
+        type_counts[kind] += count
         failed.update(fails)
 
     for name, count in type_counts.items():
@@ -301,7 +322,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
             rec.check(name, name not in failed)
 
     return WAudit(True, sigma, loose, g.e_full, g.e_part, eps2, n_long, n_short,
-                  w_def, w_id, type_counts, contributions, rec)
+                  w_def, w_id, type_counts, keys, by_key, rec)
 
 
 def _cancels(sq1: int, sq2: int, long_sq: int) -> bool:
@@ -312,37 +333,55 @@ def _cancels(sq1: int, sq2: int, long_sq: int) -> bool:
     return gap >= 0 and gap * gap == 4 * sq1 * sq2
 
 
-def _tile_w(grid: Grid, sqs: tuple[int, ...], kinds: tuple[SideLabel, ...],
-            minus_eps2: list[LengthExpr], unit_perimeter: bool
-            ) -> tuple[LengthExpr, str, tuple[str, ...]]:
-    """One tile's W contribution, its type and the checks it fails, from its
-    squared grid sides and their labels, in side order; minus_eps2[k] is
-    -k * eps2."""
+class _Contributions(dict):
+    """Each key's W contribution, built on first lookup: each long side adds
+    2/3 - eps2 - length, each short one length - 1/3."""
+
+    def __init__(self, grid: Grid, eps2: LengthExpr):
+        super().__init__()
+        self.grid, self.eps2 = grid, eps2
+
+    def __missing__(self, key: tuple) -> LengthExpr:
+        sqs, kinds = key[:3], key[3:]
+        n = kinds.count(SideLabel.LONG)
+        self[key] = contrib = LengthExpr.sum([
+            LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)), self.eps2 * -n,
+            *(self.grid.length(sq, -1 if kind is SideLabel.LONG else 1)
+              for sq, kind in zip(sqs, kinds) if kind is not SideLabel.NONE)])
+        return contrib
+
+
+def _tile_w(key: tuple, by_key: _Contributions, eps2_bounds: tuple[int, int],
+            unit_perimeter: bool) -> tuple[str, tuple[str, ...]]:
+    """One key's type and the checks it fails.  A type-1 key (one long side,
+    two short) has D * contribution = sqrt(q1) + sqrt(q2) - sqrt(q_long) -
+    D * eps2 on its squared grid sides q, D the grid scale; with eps2_bounds
+    those of -D * eps2 from ``_bounds`` at START_BITS, its sign is bounded on
+    ints, and the contribution is built only when the bounds do not settle it."""
+    sqs, kinds = key[:3], key[3:]
     n = kinds.count(SideLabel.LONG)
-    # each long side adds 2/3 - eps2 - length, each short one length - 1/3
-    contrib = LengthExpr.sum([
-        LengthExpr.rational(Fraction(2 * n - kinds.count(SideLabel.SHORT), 3)),
-        minus_eps2[n],
-        *(grid.length(sq, -1 if kind is SideLabel.LONG else 1)
-          for sq, kind in zip(sqs, kinds) if kind is not SideLabel.NONE)])
-    perim = LengthExpr.sum(grid.length(sq) for sq in sqs) if unit_perimeter else None
+    perim = LengthExpr.sum(by_key.grid.length(sq) for sq in sqs) if unit_perimeter else None
     if SideLabel.NONE in kinds:
-        if unit_perimeter and contrib < perim * Fraction(-2, 3):
-            return contrib, "exceptional", ("exceptional_bound",)
-        return contrib, "exceptional", ()
+        if unit_perimeter and by_key[key] < perim * Fraction(-2, 3):
+            return "exceptional", ("exceptional_bound",)
+        return "exceptional", ()
     fails = []
-    if n == 1 and contrib.sign() < 0:
-        fails.append("type1_nonnegative")
+    if n == 1:
+        lo, hi, _ = _bounds([(sq, -1 if kind is SideLabel.LONG else 1)
+                             for sq, kind in zip(sqs, kinds)], START_BITS)
+        if hi + eps2_bounds[1] < 0 or (lo + eps2_bounds[0] < 0 and by_key[key].sign() < 0):
+            fails.append("type1_nonnegative")
     if unit_perimeter:
+        contrib, eps2 = by_key[key], by_key.eps2
         if perim != LengthExpr.rational(1):
             fails.append("unit_perimeter")
         if n == 0 and not contrib.is_zero():
             fails.append("type0_zero")
-        if n == 2 and contrib < grid.length(min(sqs)) * 2 + minus_eps2[2]:
+        if n == 2 and contrib < by_key.grid.length(min(sqs)) * 2 - eps2 * 2:
             fails.append("type2_bound")
-        if n == 3 and contrib != perim + minus_eps2[3]:
+        if n == 3 and contrib != perim - eps2 * 3:
             fails.append("type3_value")
-    return contrib, ("type0", "type1", "type2", "type3")[n], tuple(fails)
+    return ("type0", "type1", "type2", "type3")[n], tuple(fails)
 
 
 def composite_sides(g: IncidenceGraph) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:

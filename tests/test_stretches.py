@@ -17,7 +17,8 @@ from tritile.cli import main as cli_main
 from tritile.geometry import sq_dist
 from tritile.incidence import SideRef
 from tritile.report import Status
-from tritile.stretches import _cancels
+from tritile.radicals import START_BITS, _bounds
+from tritile.stretches import _cancels, _Contributions, _tile_w
 
 import fixtures
 from conftest import expr_decimal
@@ -141,8 +142,9 @@ def joint_cut_decomposition(g):
                     klass = StretchClass.LOOSE_PROPER
                 a_pt = pa[0].a if pa[0].lo == plo else pb[0].a
                 b_pt = pa[-1].b if pa[-1].hi == phi else pb[-1].b
-                stretches.append(Stretch(key, pt(a_pt), pt(b_pt), tuple(pa), tuple(pb),
-                                         n_sides, klass))
+                st = Stretch(key, tuple(pa), tuple(pb), n_sides, klass, g.patch.grid)
+                assert (st.a, st.b) == (pt(a_pt), pt(b_pt))
+                stretches.append(st)
     return stretches, sorted(set(shared), key=lambda s: (s[0], s[1]))
 
 
@@ -573,6 +575,72 @@ class TestWAudit:
         assert not checks["unit_perimeter"] and not checks["type0_zero"]
         for name in ("unit_perimeter", "type0_zero"):
             assert audit.record.get(name).status is Status.FAIL
+
+
+class TestType1IntegerSign:
+    """The type-1 check decided on the grid's ints, against exact signs."""
+
+    LONG, SHORT = SideLabel.LONG, SideLabel.SHORT
+
+    @staticmethod
+    def judge(g, key):
+        """_tile_w on `key` as w_audit calls it, plus the key's contribution."""
+        eps2, (e1, e2, e3) = g.min_margin
+        by_key = _Contributions(g.patch.grid, eps2)
+        eps2_bounds = _bounds(((e1, -1), (e2, -1), (e3, 1)), START_BITS)[:2]
+        return _tile_w(key, by_key, eps2_bounds, False), by_key[key]
+
+    def test_zero_contribution_falls_back_to_the_exact_sign(self, monkeypatch):
+        # the eps2-minimal shape (1, 8, 13), its longest side long: the
+        # contribution is exactly 0 and the START_BITS bounds straddle it
+        g = build_incidence(recursive(3))
+        eps2, shape = g.min_margin
+        assert shape == (1, 8, 13) and g.patch.grid.scale == 1
+        lo, hi, _ = _bounds(((1, 1), (8, 1), (13, -1), (1, -1), (8, -1), (13, 1)), START_BITS)
+        assert lo < 0 < hi
+        signs = []
+        sign = LengthExpr.sign
+        monkeypatch.setattr(LengthExpr, "sign", lambda e: signs.append(e) or sign(e))
+        (kind, fails), contrib = self.judge(g, shape + (self.SHORT, self.SHORT, self.LONG))
+        assert (kind, fails) == ("type1", ())
+        assert len(signs) == 1 and contrib.is_zero()
+
+    def test_negative_contribution_fails(self, monkeypatch):
+        # sides 2, 2, sqrt(15): margin 4 - sqrt(15) < 1 + sqrt(8) - sqrt(13)
+        g = build_incidence(recursive(3))
+        signs = []
+        sign = LengthExpr.sign
+        monkeypatch.setattr(LengthExpr, "sign", lambda e: signs.append(e) or sign(e))
+        (kind, fails), contrib = self.judge(g, (4, 4, 15, self.SHORT, self.SHORT, self.LONG))
+        assert (kind, fails) == ("type1", ("type1_nonnegative",))
+        assert len(signs) == 0     # the integer bounds decided it
+        assert contrib.sign() < 0
+
+    @pytest.mark.parametrize("key", [(1, 8, 13), (4, 4, 15), (1, 1, 3), (2, 5, 9), (9, 16, 24)])
+    @pytest.mark.parametrize("long_at", range(3))
+    def test_matches_the_exact_sign(self, key, long_at):
+        g = build_incidence(recursive(3))
+        kinds = tuple(self.LONG if s == long_at else self.SHORT for s in range(3))
+        (_, fails), contrib = self.judge(g, key + kinds)
+        assert ("type1_nonnegative" in fails) == (contrib.sign() < 0)
+
+    def test_contributions_built_only_when_read(self, monkeypatch):
+        built = []
+        init = LengthExpr.__init__
+        monkeypatch.setattr(LengthExpr, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        counts, graphs = [], []
+        for depth in (10, 40):
+            g = build_incidence(recursive(depth))
+            del built[:]
+            audit = w_audit(g)
+            counts.append(len(built))
+            graphs.append((g, audit))
+        assert counts[0] == counts[1]
+        for g, audit in graphs:
+            assert audit.record.ok
+            contributions, _, _ = w_tiles_oracle(g, False)
+            assert [repr(c) for c in audit.contributions] == [repr(c) for c in contributions]
 
 
 def w_tiles_oracle(g, unit_perimeter):
