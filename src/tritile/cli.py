@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .extract import asymptotic_audit, extract_disk_patch
@@ -186,63 +187,73 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _adder(parser: argparse.ArgumentParser, dest: str, names, argv: Sequence[str]):
+    """`add_parser` of required subparsers that lists every one of `names` in
+    usage lines but builds only argv's first item if it is one (None for the rest)."""
+    named = bool(argv) and argv[0] in names
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{" + ",".join(names) + "}" if named else None)
+    return lambda name, **kw: sub.add_parser(name, **kw) if not named or name == argv[0] else None
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of argv's command alone (of all if argv names none), with the full usage."""
     parser = argparse.ArgumentParser(
         prog="tritile",
         description="construct, validate and audit triangular tilings")
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = _adder(parser, "command", _COMMANDS, argv)
 
-    gen = sub.add_parser("generate", help="generate a tiling family")
-    gensub = gen.add_subparsers(dest="family", required=True)
-    rec = gensub.add_parser("recursive")
-    rec.add_argument("--base", default="0,0,1,0,0,1",
-                     help="six rationals: the inner triangle")
-    rec.add_argument("--t", default="2", help="expansion factor, rational > 1")
-    rec.add_argument("--depth", type=_int, default=1)
-    two = gensub.add_parser("twoscale")
-    two.add_argument("--b", default="1", help="big-triangle base")
-    two.add_argument("--h", "--height", dest="height", default="1",
-                     help="big-triangle height")
-    two.add_argument("--m", type=_int, default=3)
-    two.add_argument("--n", type=_int, default=3)
-    con = gensub.add_parser("convex")
-    con.add_argument("--k", type=_int, default=5)
-    con.add_argument("--seed", type=_int, default=0)
-    con.add_argument("--strategy", choices=("fan", "random"), default="random")
-    pair = gensub.add_parser("pair")
-    pair.add_argument("--triangle", default="0,0,4,0,1,3")
-    pair.add_argument("--kind", choices=("line", "midpoint", "bisector"),
-                      default="midpoint")
-    for p in (rec, two, con, pair):
-        p.add_argument("-o", "--output", required=True)
+    if gen := add("generate", help="generate a tiling family"):
+        family = _adder(gen, "family", ("recursive", "twoscale", "convex", "pair"), argv[1:])
+        if rec := family("recursive"):
+            rec.add_argument("--base", default="0,0,1,0,0,1",
+                             help="six rationals: the inner triangle")
+            rec.add_argument("--t", default="2", help="expansion factor, rational > 1")
+            rec.add_argument("--depth", type=_int, default=1)
+        if two := family("twoscale"):
+            two.add_argument("--b", default="1", help="big-triangle base")
+            two.add_argument("--h", "--height", dest="height", default="1",
+                             help="big-triangle height")
+            two.add_argument("--m", type=_int, default=3)
+            two.add_argument("--n", type=_int, default=3)
+        if con := family("convex"):
+            con.add_argument("--k", type=_int, default=5)
+            con.add_argument("--seed", type=_int, default=0)
+            con.add_argument("--strategy", choices=("fan", "random"), default="random")
+        if pair := family("pair"):
+            pair.add_argument("--triangle", default="0,0,4,0,1,3")
+            pair.add_argument("--kind", choices=("line", "midpoint", "bisector"),
+                              default="midpoint")
+        for p in filter(None, (rec, two, con, pair)):
+            p.add_argument("-o", "--output", required=True)
 
-    val = sub.add_parser("validate", help="check that a file is a tiling")
-    val.add_argument("file")
+    if val := add("validate", help="check that a file is a tiling"):
+        val.add_argument("file")
 
-    aud = sub.add_parser("audit", help="run the combinatorial audits")
-    aud.add_argument("file")
-    aud.add_argument("--unit-perimeter", action="store_true")
-    aud.add_argument("--disk", metavar="CX,CY,R2",
-                     help="restrict to the open disk before auditing")
-    aud.add_argument("--require-applicable", action="store_true",
-                     help="treat n/a checks as failures")
-    group = aud.add_mutually_exclusive_group()
-    group.add_argument("--expect-shared", action="store_true")
-    group.add_argument("--expect-none", action="store_true")
+    if aud := add("audit", help="run the combinatorial audits"):
+        aud.add_argument("file")
+        aud.add_argument("--unit-perimeter", action="store_true")
+        aud.add_argument("--disk", metavar="CX,CY,R2",
+                         help="restrict to the open disk before auditing")
+        aud.add_argument("--require-applicable", action="store_true",
+                         help="treat n/a checks as failures")
+        group = aud.add_mutually_exclusive_group()
+        group.add_argument("--expect-shared", action="store_true")
+        group.add_argument("--expect-none", action="store_true")
 
-    stre = sub.add_parser("stretches", help="print the stretch decomposition")
-    stre.add_argument("file")
+    if stre := add("stretches", help="print the stretch decomposition"):
+        stre.add_argument("file")
 
-    stat = sub.add_parser("stats", help="print counts and side-length range")
-    stat.add_argument("file")
-    stat.add_argument("--precision-bits", type=_positive_int, default=64)
+    if stat := add("stats", help="print counts and side-length range"):
+        stat.add_argument("file")
+        stat.add_argument("--precision-bits", type=_positive_int, default=64)
 
-    ren = sub.add_parser("render", help="write an SVG figure")
-    ren.add_argument("file")
-    ren.add_argument("-o", "--output", required=True)
-    ren.add_argument("--width", type=_positive_int, default=800)
-    ren.add_argument("--stretch-overlay", action="store_true")
-    ren.add_argument("--labels", action="store_true")
+    if ren := add("render", help="write an SVG figure"):
+        ren.add_argument("file")
+        ren.add_argument("-o", "--output", required=True)
+        ren.add_argument("--width", type=_positive_int, default=800)
+        ren.add_argument("--stretch-overlay", action="store_true")
+        ren.add_argument("--labels", action="store_true")
     return parser
 
 
@@ -274,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(
-            _joined_negative_values(sys.argv[1:] if argv is None else argv))
+        argv = _joined_negative_values(sys.argv[1:] if argv is None else argv)
+        args = build_parser(argv).parse_args(argv)
         return _COMMANDS[args.command](args)
     except (TilingParseError, GeneratorError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,6 +160,8 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
     piece reaches the edge of the known tiling, so a violation downgrades
     to n/a unless ``coverage_certificate`` is True, which says the grown
     disk is covered (False, the default, says nothing is known).
+    Tile sides are read off the grid's ``side_squares``; the boundary
+    length sums the boundary edges, which may be parts of sides.
     """
     rec = AuditRecord("asymptotic-audit")
     g = build_incidence(patch)
@@ -173,7 +175,7 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
     grid = patch.grid
     dd = grid.scale ** 2
     twice_areas = [cross(*tile.vertices) for tile in grid.tiles]
-    min_side_sq = Fraction(min(s for tile in grid.tiles for s in tile.squared_sides()), dd)
+    min_side_sq = Fraction(min(map(min, grid.side_squares)), dd)
     min_area = Fraction(min(twice_areas), 2 * dd)
     boundary_len = LengthExpr.sum(grid.length(sq_dist(e.a, e.b)) for e in g.boundary_edges)
 
@@ -217,7 +219,7 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
 
     if unit_perimeter:
         one = LengthExpr.rational(1)
-        perims_ok = all(grid.perimeter(tile) == one for tile in grid.tiles)
+        perims_ok = all(LengthExpr.sum(map(grid.length, sqs)) == one for sqs in grid.side_squares)
         rec.check("unit_perimeter", perims_ok)
         # every side longer than four times the smallest area
         side_ok = min_side_sq > 16 * min_area * min_area

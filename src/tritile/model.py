@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .geometry import Point, Triangle, cross, format_rational, parse_rational, sq_dist, twice_area
-from .radicals import Interval, LengthExpr
+from .radicals import START_BITS, Interval, LengthExpr
 
 if TYPE_CHECKING:
     from .validate import ValidationReport
@@ -106,11 +107,31 @@ class Grid:
     """A patch's tiles and region times `scale`, the lcm of their coordinates'
     denominators: every coordinate is an int, and tile i side s is still
     tile i side s.  A grid point p stands for p / scale, a squared grid
-    length n for n / scale**2."""
+    length n for n / scale**2.  Each tile side is squared once, into
+    ``side_squares``, and each square q rooted once, by ``bounds``, into
+    ``roots``: q -> the floor and ceiling of sqrt(q) * 2**START_BITS."""
 
     scale: int
     tiles: tuple[Triangle, ...]
     region: tuple[Point, ...] | None
+    roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def side_squares(self) -> tuple[tuple[int, int, int], ...]:
+        """Tile i's squared grid sides in side order, at index i."""
+        return tuple((sq_dist(t.a, t.b), sq_dist(t.b, t.c), sq_dist(t.c, t.a)) for t in self.tiles)
+
+    def bounds(self, terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+        """Ints lo <= hi around 2**START_BITS * sum(k * sqrt(q)), for squared sides q and
+        signs k = +-1: the first two of ``radicals._bounds(terms, START_BITS)``."""
+        lo = hi = 0
+        for q, k in terms:
+            if q not in self.roots:
+                s = math.isqrt(m := q << 2 * START_BITS)
+                self.roots[q] = (s, s + (s * s != m))
+            floor, ceil = self.roots[q]
+            lo, hi = (lo + floor, hi + ceil) if k > 0 else (lo - ceil, hi - floor)
+        return lo, hi
 
     def point(self, p: Point) -> Point:
         """The rational point that p, on the grid's scale, stands for."""
@@ -124,9 +145,6 @@ class Grid:
 
     def length(self, sq: int, coeff: Fraction | int = 1) -> LengthExpr:
         return LengthExpr.sqrt(Fraction(sq, self.scale ** 2), coeff)
-
-    def perimeter(self, t: Triangle) -> LengthExpr:
-        return LengthExpr.sum(self.length(sq_dist(p, q)) for p, q in t.sides())
 
 
 def polygon_area(poly: tuple[Point, ...]) -> Fraction:
@@ -274,8 +292,7 @@ def side_length_range(patch: TilingPatch, precision_bits: int = 64) -> tuple[Int
     if not patch.tiles:
         raise ValueError("empty patch")
     grid = patch.grid
-    squares = [sq_dist(p, q) for t in grid.tiles for p, q in t.sides()]
-    lo_sq, hi_sq = min(squares), max(squares)
+    lo_sq, hi_sq = min(map(min, grid.side_squares)), max(map(max, grid.side_squares))
 
     def enclose(s: int) -> Interval:
         return grid.length(s).refine_until(

@@ -21,10 +21,10 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 
-from .geometry import Point, is_convex, sq_dist
+from .geometry import Point, is_convex
 from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
 from .model import Grid, TilingPatch
-from .radicals import START_BITS, LengthExpr, _bounds
+from .radicals import LengthExpr
 from .report import AuditRecord
 
 
@@ -200,8 +200,8 @@ def min_margin(patch: TilingPatch) -> tuple[LengthExpr, tuple[int, int, int]]:
     Congruent tiles have equal margins, so one margin is considered per
     shape (squared side lengths s1 <= s2 <= s3 on the grid), in tile
     order; on a tie the first tile's margin, and so its written form,
-    wins.  Each shape's grid margin gets integer bounds from ``_bounds``;
-    its radicands are ints, so all share one denominator.  Only shapes
+    wins.  The shapes are read off the grid's ``side_squares``, and each
+    grid margin gets integer bounds from ``Grid.bounds``.  Only shapes
     whose lower bound is at most the least upper bound can be the
     minimum, so only their margins are built exactly; `min` over them,
     in tile order, keeps the first of equal margins written differently
@@ -211,12 +211,11 @@ def min_margin(patch: TilingPatch) -> tuple[LengthExpr, tuple[int, int, int]]:
     if not patch.tiles:
         raise ValueError("empty patch")
     grid = patch.grid
-    shapes = dict.fromkeys(t.squared_sides() for t in grid.tiles)
-    bounds = {(s1, s2, s3): _bounds(((s1, 1), (s2, 1), (s3, -1)), START_BITS)
-              for s1, s2, s3 in shapes}
-    cut = min(hi for _, hi, _ in bounds.values())
+    shapes = dict.fromkeys(tuple(sorted(sqs)) for sqs in grid.side_squares)
+    bounds = {(s1, s2, s3): grid.bounds(((s1, 1), (s2, 1), (s3, -1))) for s1, s2, s3 in shapes}
+    cut = min(hi for _, hi in bounds.values())
     margins = {s: LengthExpr.sum((grid.length(s[0]), grid.length(s[1]), grid.length(s[2], -1)))
-               for s, (lo, _, _) in bounds.items() if lo <= cut}
+               for s, (lo, _) in bounds.items() if lo <= cut}
     shape = min(margins, key=margins.__getitem__)
     return margins[shape], shape
 
@@ -253,6 +252,7 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     Tiles with equal keys (squared grid sides, then labels, in side order)
     contribute alike and fail the same checks, so each key is judged once,
     by :func:`_tile_w`, which builds its contribution only if a check needs it.
+    Side lengths are read off the grid's ``side_squares``, by (tile, index).
 
     The audit assumes a share-free patch (strict mode): with shared sides
     present every check is reported n/a.
@@ -285,10 +285,8 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
     for st in stretches:
         if st.klass is not StretchClass.TIGHT:
             continue
-        li = st.long_item
-        s1, s2 = st.short_items
-        long_sq = sq_dist(li.a, li.b)
-        sq1, sq2 = sq_dist(s1.a, s1.b), sq_dist(s2.a, s2.b)
+        sq1, sq2, long_sq = (grid.side_squares[i.tile][i.index]
+                             for i in (*st.short_items, st.long_item))
         if not (long_sq > sq1 and long_sq > sq2):
             ties_ok = False
         if not _cancels(sq1, sq2, long_sq):
@@ -304,10 +302,10 @@ def w_audit(g: IncidenceGraph, *, unit_perimeter: bool = False) -> WAudit:
 
     type_counts = {"type0": 0, "type1": 0, "type2": 0, "type3": 0, "exceptional": 0}
     failed: set[str] = set()
-    keys = [tuple(sq_dist(p, q) for p, q in tile.sides()) + tuple(labels[(i, s)] for s in range(3))
-            for i, tile in enumerate(grid.tiles)]
+    keys = [sqs + (labels[(i, 0)], labels[(i, 1)], labels[(i, 2)])
+            for i, sqs in enumerate(grid.side_squares)]
     by_key = _Contributions(grid, eps2)
-    eps2_bounds = _bounds(((e1, -1), (e2, -1), (e3, 1)), START_BITS)[:2]  # of -D * eps2
+    eps2_bounds = grid.bounds(((e1, -1), (e2, -1), (e3, 1)))  # of -D * eps2
     for key, count in Counter(keys).items():
         kind, fails = _tile_w(key, by_key, eps2_bounds, unit_perimeter)
         type_counts[kind] += count
@@ -356,19 +354,19 @@ def _tile_w(key: tuple, by_key: _Contributions, eps2_bounds: tuple[int, int],
     """One key's type and the checks it fails.  A type-1 key (one long side,
     two short) has D * contribution = sqrt(q1) + sqrt(q2) - sqrt(q_long) -
     D * eps2 on its squared grid sides q, D the grid scale; with eps2_bounds
-    those of -D * eps2 from ``_bounds`` at START_BITS, its sign is bounded on
-    ints, and the contribution is built only when the bounds do not settle it."""
+    those of -D * eps2, its sign is bounded on ints by ``Grid.bounds``, and
+    the contribution is built only when the bounds do not settle it."""
     sqs, kinds = key[:3], key[3:]
     n = kinds.count(SideLabel.LONG)
-    perim = LengthExpr.sum(by_key.grid.length(sq) for sq in sqs) if unit_perimeter else None
+    perim = LengthExpr.sum(map(by_key.grid.length, sqs)) if unit_perimeter else None
     if SideLabel.NONE in kinds:
         if unit_perimeter and by_key[key] < perim * Fraction(-2, 3):
             return "exceptional", ("exceptional_bound",)
         return "exceptional", ()
     fails = []
     if n == 1:
-        lo, hi, _ = _bounds([(sq, -1 if kind is SideLabel.LONG else 1)
-                             for sq, kind in zip(sqs, kinds)], START_BITS)
+        lo, hi = by_key.grid.bounds([(sq, -1 if kind is SideLabel.LONG else 1)
+                                     for sq, kind in zip(sqs, kinds)])
         if hi + eps2_bounds[1] < 0 or (lo + eps2_bounds[0] < 0 and by_key[key].sign() < 0):
             fails.append("type1_nonnegative")
     if unit_perimeter:

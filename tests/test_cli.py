@@ -1,3 +1,4 @@
+import argparse
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -413,3 +414,71 @@ class TestAnalysedOnce:
         code, _, _ = run(["generate", "twoscale", "--m", "2", "--n", "2",
                           "-o", str(tmp_path / "t.til")], tmp_path)
         assert code == 0 and len(validations) == 1
+
+
+GOLDEN_TIL = str(Path(__file__).parent / "golden" / "recursive-4.til")
+COMMAND_NAMES = ("generate", "validate", "audit", "stretches", "stats", "render")
+FAMILY_NAMES = ("recursive", "twoscale", "convex", "pair")
+
+
+class TestParserPerCommand:
+    """`main` builds only the parser of the command it runs; what the user
+    sees (stdout, stderr, exit code) is what the full parser gives."""
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"],
+        ["validate", "a", "b"], ["audit", "x", "--bogus"], ["audit"],
+        ["generate"], ["generate", "bogus"], ["generate", "recursive"], ["render", "f"],
+        ["stats", "f", "--precision-bits", "0"], ["audit", GOLDEN_TIL, "--disk", "-1,0,4"],
+        ["generate", "recursive", "-o", "x", "extra"],
+        *([name, "--help"] for name in COMMAND_NAMES),
+        *(["generate", name, "--help"] for name in FAMILY_NAMES),
+    ], ids=lambda argv: " ".join(argv).replace(GOLDEN_TIL, "f") or "no-args")
+    def test_same_as_full_parser(self, argv, monkeypatch):
+        import tritile.cli
+        got = self.outcome(argv)
+        full = tritile.cli.build_parser
+        monkeypatch.setattr(tritile.cli, "build_parser", lambda argv=(): full())
+        assert got == self.outcome(argv)
+        assert got[0] in (0, 1, 2) and (got[1] or got[2])
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "tritile: error: the following arguments are required: command\n"),
+        (["bogus"], "tritile: error: argument command: invalid choice: 'bogus'"),
+        (["generate", "bogus"], "tritile generate: error: argument family: invalid choice: 'bogus'"),
+        (["validate", "a", "b"], "tritile: error: unrecognized arguments: b\n"),
+    ])
+    def test_usage_names_every_command(self, argv, message):
+        code, out, err = self.outcome(argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: tritile [-h] {{{','.join(COMMAND_NAMES)}}} ...\n"
+                              if argv[:1] != ["generate"] else
+                              f"usage: tritile generate [-h] {{{','.join(FAMILY_NAMES)}}} ...\n")
+        assert message in err
+
+    @pytest.mark.parametrize("argv, command, family", [
+        (["validate", "a"], ("validate",), None),
+        (["generate", "pair", "-o", "x"], ("generate",), ("pair",)),
+        (["generate", "--help"], ("generate",), FAMILY_NAMES),
+        (["--help"], COMMAND_NAMES, FAMILY_NAMES),
+    ])
+    def test_builds_only_the_named_subparsers(self, argv, command, family):
+        from tritile.cli import build_parser
+
+        def choices(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return sub.choices
+
+        top = choices(build_parser(argv))
+        assert tuple(top) == command
+        assert family is None or tuple(choices(top["generate"])) == family

@@ -1,3 +1,5 @@
+import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +10,9 @@ import tritile.geometry
 from tritile import (Point, TilingParseError, TilingPatch, Triangle,
                      apply_affine, parse_tiling, serialize_tiling,
                      side_length_range, validate_patch)
+
+from tritile.model import Grid
+from tritile.radicals import START_BITS, _bounds
 
 from conftest import rand_triangle
 from test_random_patches import random_refined_patch
@@ -274,3 +279,39 @@ class TestSideLengthRange:
         for t in tiles:
             for s in t.squared_sides():
                 assert lo.lo ** 2 <= s <= hi.hi ** 2
+
+
+class TestGridRoots:
+    """The grid's integer roots of squared sides bound a signed sum of
+    side lengths exactly as ``radicals._bounds`` does."""
+
+    @staticmethod
+    def radicand(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randrange(1, 1000) ** 2                # perfect square
+        if kind == 1:
+            return rng.getrandbits(400) | 1 << 399            # 400 bits
+        if kind == 2:
+            return rng.getrandbits(400) ** 2 // rng.randrange(1, 9) ** 2
+        return rng.randrange(0, 200)
+
+    def test_bounds_equal_radicals_bounds(self):
+        rng = random.Random(18)
+        grid = Grid(1, (), None)
+        for _ in range(2000):
+            qs = [self.radicand(rng) for _ in range(3)]
+            if rng.random() < 0.2:
+                qs[1] = qs[0]                                 # equal radicands
+            terms = [(q, rng.choice((1, -1))) for q in qs]
+            assert grid.bounds(terms) == _bounds(terms, START_BITS)[:2], terms
+
+    def test_one_isqrt_per_radicand(self, monkeypatch):
+        calls = []
+        isqrt = math.isqrt
+        monkeypatch.setattr(math, "isqrt", lambda m: calls.append(m) or isqrt(m))
+        grid = Grid(1, (), None)
+        for terms in (((5, 1), (8, 1), (13, -1)), ((13, -1), (5, -1), (9, 1)), ((8, 1),) * 3):
+            grid.bounds(terms)
+        assert sorted(calls) == [q << 2 * START_BITS for q in (5, 8, 9, 13)]
+        assert grid.roots[9] == (3 << START_BITS,) * 2

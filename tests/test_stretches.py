@@ -587,7 +587,7 @@ class TestType1IntegerSign:
         """_tile_w on `key` as w_audit calls it, plus the key's contribution."""
         eps2, (e1, e2, e3) = g.min_margin
         by_key = _Contributions(g.patch.grid, eps2)
-        eps2_bounds = _bounds(((e1, -1), (e2, -1), (e3, 1)), START_BITS)[:2]
+        eps2_bounds = g.patch.grid.bounds(((e1, -1), (e2, -1), (e3, 1)))
         return _tile_w(key, by_key, eps2_bounds, False), by_key[key]
 
     def test_zero_contribution_falls_back_to_the_exact_sign(self, monkeypatch):
@@ -659,7 +659,7 @@ def w_tiles_oracle(g, unit_perimeter):
             if kind is not SideLabel.NONE:
                 contrib = contrib + grid.length(sq_dist(p, q), -1 if kind is SideLabel.LONG else 1)
         contributions.append(contrib)
-        perim = grid.perimeter(tile)
+        perim = LengthExpr.sum(grid.length(sq_dist(p, q)) for p, q in tile.sides())
         if SideLabel.NONE in kinds:
             type_counts["exceptional"] += 1
             if unit_perimeter and contrib < perim * F(-2, 3):
@@ -677,6 +677,59 @@ def w_tiles_oracle(g, unit_perimeter):
             checks["type2_bound"] &= not contrib < bound
         checks["type3_value"] &= n != 3 or contrib == perim - eps2 * 3
     return contributions, type_counts, checks
+
+
+class TestSidesReadOnce:
+    """After the grid's side table is built, the eps2, W and asymptotic
+    audits square no tile side again, and root each squared side once."""
+
+    @staticmethod
+    def counters(monkeypatch):
+        import math
+        import sys
+        squares, roots = [], []
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("tritile") and hasattr(mod, "sq_dist"):
+                monkeypatch.setattr(mod, "sq_dist", lambda p, q, _f=mod.sq_dist:
+                                    squares.append(1) or _f(p, q))
+        isqrt = math.isqrt
+        monkeypatch.setattr(math, "isqrt", lambda m: roots.append(1) or isqrt(m))
+        return squares, roots
+
+    @pytest.mark.parametrize("small, big", [
+        (recursive(10), recursive(40)),
+        (gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 3)),
+         gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 6, 6)))],
+        ids=["recursive-40", "twoscale-216"])
+    def test_counts(self, small, big, monkeypatch):
+        from tritile.extract import asymptotic_audit
+        from tritile.stretches import min_margin
+        squares, roots = self.counters(monkeypatch)
+        w_roots = []
+        for patch in (small, big):
+            g = build_incidence(patch)
+            grid = patch.grid
+            distinct = {q for sqs in grid.side_squares for q in sqs}
+            del squares[:], roots[:]
+            min_margin(patch)
+            assert (len(squares), len(roots)) == (0, len(distinct))
+            del roots[:]
+            w_audit(g)
+            assert len(squares) == 0
+            w_roots.append(len(roots))
+            asymptotic_audit(patch, [])
+            # one per boundary edge (an atomic edge, not a tile side)
+            assert len(squares) == len(g.boundary_edges)
+            assert set(grid.roots) == distinct
+        # no side rooted again: w_audit roots only for eps2's written form,
+        # its decimals and the W routes' comparison, the same at any size
+        assert w_roots[0] == w_roots[1]
+
+    def test_grid_reads_match_a_fresh_computation(self):
+        for patch in (recursive(10), fixtures.notched_split(), *random_patches(range(5))):
+            grid = patch.grid
+            assert grid.side_squares == tuple(tuple(sq_dist(p, q) for p, q in t.sides())
+                                              for t in grid.tiles)
 
 
 class TestTightCancellation:
