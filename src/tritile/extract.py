@@ -3,7 +3,8 @@ accounting audit on the extracted piece.
 
 The disk is given by its squared radius so the open-disk intersection
 predicate stays a rational comparison; the radius itself never needs to
-materialize.  The predicates run on the ambient grid, the disk scaled into it.
+materialize.  The predicates run on the ambient grid's ints, the disk
+scaled into it once, and compare cross-multiplied ints.
 
 Each step reads the ambient incidence graph: the holes are the tiles the
 ambient boundary cannot reach through unselected tiles (one search over
@@ -14,12 +15,14 @@ piece's own validation.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point, Triangle, cross, segment_sq_dist, sq_dist
 from .incidence import IncidenceGraph, build_incidence
-from .model import TilingPatch
+from .model import Grid, TilingPatch
 from .radicals import LengthExpr
 from .report import AuditRecord
 from .stretches import StretchClass
@@ -33,14 +36,42 @@ def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
     return min(segment_sq_dist(a, b, p) for a, b in t.sides())
 
 
-def _box_sq_dist(t: Triangle, p: Point) -> Fraction:
-    """Exact squared distance from p to the bounding box of the triangle,
-    a lower bound on the distance to the triangle, which lies inside it."""
-    xs = (t.a.x, t.b.x, t.c.x)
-    ys = (t.a.y, t.b.y, t.c.y)
-    dx = max(min(xs) - p.x, p.x - max(xs), 0)
-    dy = max(min(ys) - p.y, p.y - max(ys), 0)
-    return dx * dx + dy * dy
+def _disk_on_grid(grid: Grid, center: Point, r_sq: Fraction) -> tuple[int, Point, int]:
+    """The disk on the grid's ints: (k, c, r) with c / k its centre and
+    r / k**2 its squared radius on the grid.  k is 1 when both land on the
+    grid, else the least common denominator of the centre and r_sq there."""
+    x, y = Fraction(center.x) * grid.scale, Fraction(center.y) * grid.scale
+    r = Fraction(r_sq) * grid.scale ** 2
+    k = math.lcm(x.denominator, y.denominator, r.denominator)
+    return (k, Point(x.numerator * (k // x.denominator), y.numerator * (k // y.denominator)),
+            r.numerator * (k * k // r.denominator))
+
+
+def _sq_dist_parts(a: Point, b: Point, p: Point, k: int) -> tuple[int, int]:
+    """k**2 times the squared distance from p / k to the segment ab, all on
+    ints, as num / den with den > 0."""
+    dx, dy, px, py = b.x - a.x, b.y - a.y, p.x - k * a.x, p.y - k * a.y
+    dot, ab2 = px * dx + py * dy, dx * dx + dy * dy
+    if dot <= 0:
+        return px * px + py * py, 1
+    if dot >= k * ab2:
+        qx, qy = p.x - k * b.x, p.y - k * b.y
+        return qx * qx + qy * qy, 1
+    c = dx * py - dy * px  # k * cross(a, b, p / k): the foot lies inside
+    return c * c, ab2
+
+
+def _meets_disk(t: Triangle, p: Point, k: int, r: int) -> bool:
+    """Does the grid triangle t meet the open disk of centre p / k and
+    squared radius r / k**2?  Its bounding box is tried first."""
+    xs, ys = (t.a.x, t.b.x, t.c.x), (t.a.y, t.b.y, t.c.y)
+    dx = max(k * min(xs) - p.x, p.x - k * max(xs), 0)
+    dy = max(k * min(ys) - p.y, p.y - k * max(ys), 0)
+    if dx * dx + dy * dy >= r:
+        return False
+    if all((v.x - u.x) * (p.y - k * u.y) >= (v.y - u.y) * (p.x - k * u.x) for u, v in t.sides()):
+        return True  # p / k lies in the closed triangle
+    return any(num < r * den for num, den in (_sq_dist_parts(u, v, p, k) for u, v in t.sides()))
 
 
 def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set[int]:
@@ -50,9 +81,8 @@ def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set
     if r_sq <= 0:
         raise ValueError("r_sq must be positive")
     grid = ambient.grid
-    center, r_sq = grid.of(center), r_sq * grid.scale ** 2
-    return {i for i, t in enumerate(grid.tiles)
-            if _box_sq_dist(t, center) < r_sq and triangle_sq_dist(t, center) < r_sq}
+    k, c, r = _disk_on_grid(grid, center, r_sq)
+    return {i for i, t in enumerate(grid.tiles) if _meets_disk(t, c, k, r)}
 
 
 def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
@@ -82,17 +112,27 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
             if w not in selected and w not in outside:
                 outside.add(w)
                 stack.append(w)
-    piece = TilingPatch(tuple(t for i, t in enumerate(ambient.tiles) if i not in outside),
-                        None, ambient.metadata)
+    piece = TilingPatch.from_grid(
+        ambient.grid.scale, [(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
+                             for i, t in enumerate(ambient.grid.tiles) if i not in outside],
+        None, ambient.metadata)
     derive_region(piece)  # validates the piece once; RegionError if not simple
     return piece
 
 
 def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
     """Ambient tiles outside the patch that share a vertex with it (corner
-    or mid-side), which in a tiling is every tile whose closure touches it."""
-    index = {t: i for i, t in enumerate(ambient.grid.tiles)}
-    inside = {index.get(Triangle(*map(ambient.grid.of, t.vertices))) for t in patch.tiles}
+    or mid-side), which in a tiling is every tile whose closure touches it.
+    The two grids' tiles are matched on ints, each grid scaled up to the
+    lcm of the two scales (the patch's region may make its grid finer)."""
+    g = math.gcd(ambient.grid.scale, patch.grid.scale)
+    up, down = ambient.grid.scale // g, patch.grid.scale // g
+
+    def key(t: Triangle, k: int) -> tuple[int, ...]:
+        return tuple(c * k for p in t.vertices for c in (p.x, p.y))
+
+    index = {key(t, down): i for i, t in enumerate(ambient.grid.tiles)}
+    inside = {index.get(key(t, up)) for t in patch.grid.tiles}
     if None in inside:
         raise ValueError("patch is not a tile subset of the ambient patch")
     ring = {t for tiles in build_incidence(ambient).soup.incident_tiles.values()
@@ -122,13 +162,14 @@ def _disk_plus_one_covered(graph: IncidenceGraph, center: Point, r_sq: Fraction)
     of every ambient boundary edge, plus the center lying in the region.
     """
     grid = graph.patch.grid
-    center, r_sq, one = grid.of(center), r_sq * grid.scale ** 2, grid.scale ** 2  # on the grid
-    if point_in_polygon(center, graph.outline) < 0:
+    k, c, r = _disk_on_grid(grid, center, r_sq)
+    one = (k * grid.scale) ** 2
+    if point_in_polygon(c, tuple(Point(k * p.x, k * p.y) for p in graph.outline)) < 0:
         return False
     for e in graph.boundary_edges:
-        sq = segment_sq_dist(e.a, e.b, center)
-        rest = sq - r_sq - one
-        if rest < 0 or rest * rest < 4 * r_sq * one:
+        num, den = _sq_dist_parts(e.a, e.b, c, k)
+        rest = num - (r + one) * den  # den * (sq - r_sq - 1), on the grid scaled by k
+        if rest < 0 or rest * rest < 4 * r * one * den * den:
             return False
     return True
 
@@ -177,7 +218,8 @@ def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: boo
     twice_areas = [cross(*tile.vertices) for tile in grid.tiles]
     min_side_sq = Fraction(min(map(min, grid.side_squares)), dd)
     min_area = Fraction(min(twice_areas), 2 * dd)
-    boundary_len = LengthExpr.sum(grid.length(sq_dist(e.a, e.b)) for e in g.boundary_edges)
+    boundary_sqs = Counter(sq_dist(e.a, e.b) for e in g.boundary_edges)
+    boundary_len = LengthExpr.sum(grid.length(q, k) for q, k in boundary_sqs.items())
 
     rec.info("t", t)
     rec.info("t_prime", t_prime)

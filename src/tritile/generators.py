@@ -1,7 +1,11 @@
 """Exact constructions of the test-corpus tiling families.
 
 Every generator self-validates its output, once, and raises
-:class:`GeneratorError` instead of returning a broken patch.
+:class:`GeneratorError` instead of returning a broken patch.  The
+recursive split and the two-scale pattern count on an integer lattice and
+hand its int rows to :meth:`TilingPatch.from_grid`, so no `Fraction` is
+built per point; the convex and pair families start from rationals and
+get their grid from the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 
 from .geometry import (Point, Triangle, cross, is_convex, reflect_across_bisector,
                        reflect_across_line, reflect_through_midpoint)
-from .model import TilingPatch
+from .model import Grid, TilingPatch
 
 F = Fraction
 
@@ -25,7 +29,8 @@ class GeneratorError(ValueError):
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     """Validate once.  A patch without a region gets the derived one and
     keeps this report, its graph re-pointed at the new patch (validating
-    it with that region gives an equal report)."""
+    it with that region gives an equal report), and its grid, with the
+    outline the validator found on it as the grid region."""
     report = patch.validation
     if not report.ok:
         raise GeneratorError(
@@ -34,6 +39,7 @@ def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     if patch.region is not None:
         return patch
     with_region = patch.with_region(report.derived_region)
+    with_region.__dict__["grid"] = Grid(patch.grid.scale, patch.grid.tiles, report.graph.outline)
     with_region.__dict__["validation"] = replace(
         report, graph=replace(report.graph, patch=with_region))
     return with_region
@@ -63,21 +69,26 @@ def gen_recursive_split(spec: RecursiveSplitSpec) -> TilingPatch:
     """Level k+1 vertex i sits on the line through level-k vertices i+1, i:
     w_i = v_{i+1} + t*(v_i - v_{i+1}).  Each sliver (w_i, w_{i+1}, v_{i+1})
     therefore has a side collinear with a side of the inner triangle, which
-    is what keeps every stretch tight."""
-    level = list(spec.base)
-    tiles = [Triangle(*level)]
+    is what keeps every stretch tight.
+
+    With t = p/q, the levels are counted on the lattice of the last one:
+    the base's common denominator times q**depth, so every step
+    (v_i - v_{i+1}) * p / q is an exact int division."""
+    p, q = spec.t.numerator, spec.t.denominator
+    scale = math.lcm(*(c.denominator for v in spec.base for c in (v.x, v.y))) * q ** spec.depth
+    level = [(v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
+             for v in spec.base]
+    rows = [[c for v in level for c in v]]
     for _ in range(spec.depth):
-        nxt = [Point(level[(i + 1) % 3].x + spec.t * (level[i].x - level[(i + 1) % 3].x),
-                     level[(i + 1) % 3].y + spec.t * (level[i].y - level[(i + 1) % 3].y))
-               for i in range(3)]
-        for i in range(3):
-            tiles.append(Triangle(nxt[i], nxt[(i + 1) % 3], level[(i + 1) % 3]))
+        nxt = [(bx + (ax - bx) * p // q, by + (ay - by) * p // q)
+               for (ax, ay), (bx, by) in zip(level, level[1:] + level[:1])]
+        rows += [[*nxt[i], *nxt[i - 2], *level[i - 2]] for i in range(3)]
         level = nxt
 
-    region = tuple(level) if cross(*level) > 0 else tuple(reversed(level))
+    region = level if cross(*(Point(*v) for v in level)) > 0 else level[::-1]
     meta = (("generator", "recursive"),
             ("t", str(spec.t)), ("depth", str(spec.depth)))
-    return _self_validate(TilingPatch(tuple(tiles), region, meta),
+    return _self_validate(TilingPatch.from_grid(scale, rows, [c for v in region for c in v], meta),
                           "recursive split")
 
 
@@ -101,35 +112,32 @@ class TwoScaleSpec:
 
 
 def gen_two_scale_periodic(spec: TwoScaleSpec) -> TilingPatch:
+    """Counted in units of b/4 across and h/2 up, on the grid of their
+    common denominator."""
     b, h = spec.b, spec.h
+    scale = math.lcm(4 * b.denominator, 2 * h.denominator)
+    ux, uy = b.numerator * (scale // (4 * b.denominator)), h.numerator * (scale // (2 * h.denominator))
 
-    def tri(ox: Fraction, oy: Fraction, coords) -> Triangle:
-        return Triangle(*(Point(ox + x, oy + y) for x, y in coords))
-
-    up = ((F(0), F(0)), (b, F(0)), (b / 2, h))
-    up_off = ((3 * b / 4, h / 2), (7 * b / 4, h / 2), (5 * b / 4, 3 * h / 2))
+    up = (0, 0, 4, 0, 2, 2)
+    up_off = (3, 1, 7, 1, 5, 3)
     # gap fillers: apex-down at half scale, two per strip per period
-    down1 = ((3 * b / 4, h / 2), (5 * b / 4, h / 2), (b, F(0)))
-    down2 = ((5 * b / 4, h / 2), (7 * b / 4, h / 2), (3 * b / 2, F(0)))
-    shift = (3 * b / 4, h / 2)  # maps the lower strip onto the upper one
+    down1 = (3, 1, 5, 1, 4, 0)
+    down2 = (5, 1, 7, 1, 6, 0)
 
-    def shifted(coords):
-        return tuple((x + shift[0], y + shift[1]) for x, y in coords)
+    def shifted(row, dx=0):  # maps the lower strip onto the upper one
+        return tuple(c + d for c, d in zip(row, (3 + dx, 1) * 3))
 
-    tiles: list[Triangle] = []
-    for j in range(spec.n):
-        oy = h * j
-        for i in range(spec.m):
-            ox = 3 * b / 2 * i
-            for coords in (up, up_off, down1, down2, shifted(down1)):
-                tiles.append(tri(ox, oy, coords))
-            # the second upper filler belongs to the cell on the left:
-            # shifted one cell right it would dangle off the ragged edge
-            tiles.append(tri(ox - 3 * b / 2, oy, shifted(down2)))
+    # the second upper filler belongs to the cell on the left:
+    # shifted one cell right it would dangle off the ragged edge
+    cell = [tuple(c * u for c, u in zip(row, (ux, uy) * 3))
+            for row in (up, up_off, down1, down2, shifted(down1), shifted(down2, -6))]
+    rows = [(x1 + dx, y1 + dy, x2 + dx, y2 + dy, x3 + dx, y3 + dy)
+            for dy in range(0, 2 * uy * spec.n, 2 * uy) for dx in range(0, 6 * ux * spec.m, 6 * ux)
+            for x1, y1, x2, y2, x3, y3 in cell]
 
     meta = (("generator", "twoscale"), ("b", str(b)), ("h", str(h)),
             ("m", str(spec.m)), ("n", str(spec.n)))
-    return _self_validate(TilingPatch(tuple(tiles), None, meta), "two-scale pattern")
+    return _self_validate(TilingPatch.from_grid(scale, rows, None, meta), "two-scale pattern")
 
 
 def convex_polygon_on_circle(k: int, seed: int | None = None) -> tuple[Point, ...]:

@@ -15,19 +15,23 @@ validation beyond syntax and triangle nondegeneracy; see
 
 A patch holds rationals; its analysis runs on its :class:`Grid`, the patch
 scaled once by the common denominator D of its coordinates to ints.  A
-parsed patch gets its grid from the parse, which reads each number once,
-takes D over the file and puts each triangle in order on the grid's ints;
-a patch built in code gets its grid on first use.
+patch whose coordinates are known as ints over a common scale is built by
+:meth:`TilingPatch.from_grid`, which puts each triangle in order once, on
+those ints, and hands the grid over with the patch.  The parser (which
+reads each number once and takes D over the file), the recursive and
+two-scale generators and the extracted disk piece are all built that way;
+a patch built in code from rationals gets its grid on first use.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .geometry import Point, Triangle, cross, format_rational, parse_rational, sq_dist, twice_area
@@ -43,6 +47,14 @@ class TilingParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class DegenerateRow(ValueError):
+    """Row `index` of the rows handed to :meth:`TilingPatch.from_grid` is collinear."""
+
+    def __init__(self, index: int):
+        super().__init__(f"degenerate triangle in row {index}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,51 @@ class TilingPatch:
     def with_region(self, region: tuple[Point, ...] | None) -> "TilingPatch":
         return TilingPatch(self.tiles, region, self.metadata)
 
+    @classmethod
+    def from_grid(cls, scale: int, rows: Sequence[Sequence[int]], region: Sequence[int] | None = None,
+                  metadata: Iterable[tuple[str, str]] = ()) -> "TilingPatch":
+        """The patch whose tile i is ``rows[i]`` = x1 y1 x2 y2 x3 y3 and whose
+        region is x1 y1 ... xn yn, every coordinate an int over `scale`, with
+        its grid.  The scale is first cut to the lcm of the coordinates'
+        denominators by one gcd over it and them.  Each distinct point gets
+        one grid and one rational `Point`, and each triangle is put in order
+        once, on the ints.  Raises :class:`DegenerateRow`."""
+        g = math.gcd(scale, *chain.from_iterable(rows), *(region or ()))
+        scale //= g
+        points: dict[tuple[int, int], Point] = {}  # given ints -> grid point
+        rational: dict[int, Point] = {}  # id of a grid point in `points` -> rational point
+        values: dict[int, Fraction] = {}
+
+        def point(x: int, y: int) -> Point:
+            p = points[x, y] = Point(x // g, y // g)
+            for c in (p.x, p.y):
+                if c not in values:
+                    values[c] = Fraction(c, scale)
+            rational[id(p)] = Point(values[p.x], values[p.y])
+            return p
+
+        get = points.get
+        tiles, grid_tiles = [], []
+        for i, (x1, y1, x2, y2, x3, y3) in enumerate(rows):
+            try:
+                t = Triangle(get((x1, y1)) or point(x1, y1), get((x2, y2)) or point(x2, y2),
+                             get((x3, y3)) or point(x3, y3))
+            except ValueError:
+                raise DegenerateRow(i) from None
+            grid_tiles.append(t)
+            tiles.append(Triangle.normalized(rational[id(t.a)], rational[id(t.b)], rational[id(t.c)]))
+        grid_region = None if region is None else tuple(
+            get(xy) or point(*xy) for xy in zip(region[::2], region[1::2]))
+        patch = cls(tuple(tiles), None if region is None else tuple(rational[id(p)] for p in grid_region),
+                    tuple(metadata))
+        patch.__dict__["grid"] = Grid(scale, tuple(grid_tiles), grid_region)
+        return patch
+
     @cached_property
     def grid(self) -> Grid:
-        """The patch on its integer grid.  `parse_tiling` stores the grid it
-        built; for a patch built in code it is computed on first use, from
-        the lcm of the coordinates' denominators."""
+        """The patch on its integer grid.  `from_grid` hands over the grid it
+        built; for a patch built from rationals it is computed on first use,
+        from the lcm of the coordinates' denominators."""
         pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
         scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
 
@@ -137,12 +189,6 @@ class Grid:
         """The rational point that p, on the grid's scale, stands for."""
         return Point(Fraction(p.x, self.scale), Fraction(p.y, self.scale))
 
-    def of(self, p: Point) -> Point:
-        """A rational point on the grid's scale (int coordinates on the grid)."""
-        x, y = Fraction(p.x * self.scale), Fraction(p.y * self.scale)
-        return Point(x.numerator if x.denominator == 1 else x,
-                     y.numerator if y.denominator == 1 else y)
-
     def length(self, sq: int, coeff: Fraction | int = 1) -> LengthExpr:
         return LengthExpr.sqrt(Fraction(sq, self.scale ** 2), coeff)
 
@@ -166,8 +212,8 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
     """Parse TILING/1 text into a patch, with its grid; raises TilingParseError.
 
     The lines are scanned for syntax first, so the triangles are put in
-    order only once D is known, on the grid's ints; the first fault in
-    line order is the one reported."""
+    order only once D is known, by `TilingPatch.from_grid` on the grid's
+    ints; the first fault in line order is the one reported."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = text.split("\n")
     if not lines or lines[0].rstrip() != MAGIC:
@@ -215,26 +261,14 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
 
     scale = math.lcm(*(q.denominator for q in values.values()))
     on_grid = {a: q.numerator * (scale // q.denominator) for a, q in values.items()}
-    rational = {on_grid[a]: q for a, q in values.items()}
-    tiles, grid_tiles = [], []
-    for line_no, args in rows:
-        xy = [on_grid[a] for a in args]
-        try:
-            t = Triangle(Point(xy[0], xy[1]), Point(xy[2], xy[3]), Point(xy[4], xy[5]))
-        except ValueError:
-            raise TilingParseError(line_no, "degenerate triangle") from None
-        grid_tiles.append(t)
-        tiles.append(Triangle.normalized(*[Point(rational[p.x], rational[p.y]) for p in t.vertices]))
+    try:
+        patch = TilingPatch.from_grid(
+            scale, [[on_grid[a] for a in args] for _, args in rows],
+            None if fault or region_args is None else [on_grid[a] for a in region_args], metadata)
+    except DegenerateRow as exc:
+        raise TilingParseError(rows[exc.index][0], "degenerate triangle") from None
     if fault is not None:
         raise fault
-
-    region = grid_region = None
-    if region_args is not None:
-        xy = [on_grid[a] for a in region_args]
-        grid_region = tuple(map(Point, xy[::2], xy[1::2]))
-        region = tuple(Point(rational[p.x], rational[p.y]) for p in grid_region)
-    patch = TilingPatch(tuple(tiles), region, tuple(metadata))
-    patch.__dict__["grid"] = Grid(scale, tuple(grid_tiles), grid_region)
     return patch
 
 

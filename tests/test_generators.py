@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from tritile import (GeneratorError, Point, RecursiveSplitSpec,
-                     ReflectionKind, Triangle, TwoScaleSpec,
-                     build_incidence, congruence_check,
-                     convex_polygon_on_circle, gen_convex_triangulation,
-                     gen_recursive_split, gen_reflected_pair,
-                     gen_two_scale_periodic, reflection_classify,
-                     shared_side_pairs, validate_patch)
+                     ReflectionKind, TilingPatch, Triangle, TwoScaleSpec,
+                     asymptotic_audit, build_incidence, congruence_check,
+                     convex_polygon_on_circle, derive_region, extract_disk_patch,
+                     gen_convex_triangulation, gen_recursive_split, gen_reflected_pair,
+                     gen_two_scale_periodic, reflection_classify, serialize_tiling,
+                     shared_side_pairs, validate_patch, w_audit)
+from tritile.cli import main
+from tritile.stretches import min_margin
 
 from conftest import rand_triangle
 
@@ -197,3 +199,131 @@ class TestReflectedPair:
     def test_unknown_kind(self):
         with pytest.raises(GeneratorError):
             gen_reflected_pair(Triangle(P(0, 0), P(4, 0), P(1, 3)), "rotation")
+
+
+def oracle_recursive(spec: RecursiveSplitSpec) -> TilingPatch:
+    """The recursive split in Fraction arithmetic, each tile put in order
+    by the Triangle constructor on rationals."""
+    level = list(spec.base)
+    tiles = [Triangle(*level)]
+    for _ in range(spec.depth):
+        nxt = [Point(level[(i + 1) % 3].x + spec.t * (level[i].x - level[(i + 1) % 3].x),
+                     level[(i + 1) % 3].y + spec.t * (level[i].y - level[(i + 1) % 3].y))
+               for i in range(3)]
+        for i in range(3):
+            tiles.append(Triangle(nxt[i], nxt[(i + 1) % 3], level[(i + 1) % 3]))
+        level = nxt
+    region = tuple(level) if _ccw(level) else tuple(reversed(level))
+    meta = (("generator", "recursive"), ("t", str(spec.t)), ("depth", str(spec.depth)))
+    return TilingPatch(tuple(tiles), region, meta)
+
+
+def _ccw(pts) -> bool:
+    (ax, ay), (bx, by), (cx, cy) = ((p.x, p.y) for p in pts)
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+
+
+def oracle_two_scale(spec: TwoScaleSpec) -> TilingPatch:
+    """The two-scale pattern in Fraction arithmetic, in b and h, with the
+    region derived from its tiles."""
+    b, h = spec.b, spec.h
+
+    def tri(ox, oy, coords):
+        return Triangle(*(Point(ox + x, oy + y) for x, y in coords))
+
+    up = ((F(0), F(0)), (b, F(0)), (b / 2, h))
+    up_off = ((3 * b / 4, h / 2), (7 * b / 4, h / 2), (5 * b / 4, 3 * h / 2))
+    down1 = ((3 * b / 4, h / 2), (5 * b / 4, h / 2), (b, F(0)))
+    down2 = ((5 * b / 4, h / 2), (7 * b / 4, h / 2), (3 * b / 2, F(0)))
+
+    def shifted(coords):
+        return tuple((x + 3 * b / 4, y + h / 2) for x, y in coords)
+
+    tiles = []
+    for j in range(spec.n):
+        oy = h * j
+        for i in range(spec.m):
+            ox = 3 * b / 2 * i
+            for coords in (up, up_off, down1, down2, shifted(down1)):
+                tiles.append(tri(ox, oy, coords))
+            tiles.append(tri(ox - 3 * b / 2, oy, shifted(down2)))
+    meta = (("generator", "twoscale"), ("b", str(b)), ("h", str(h)),
+            ("m", str(spec.m)), ("n", str(spec.n)))
+    patch = TilingPatch(tuple(tiles), None, meta)
+    return patch.with_region(derive_region(patch))
+
+
+def assert_matches_oracle(patch: TilingPatch, want: TilingPatch) -> None:
+    """Same tiles, region, metadata and bytes as the oracle, and the grid
+    handed over with the patch is the one its rationals give."""
+    assert patch.tiles == want.tiles
+    assert patch.region == want.region
+    assert patch.metadata == want.metadata
+    assert serialize_tiling(patch) == serialize_tiling(want)
+    computed = TilingPatch(patch.tiles, patch.region, patch.metadata).grid
+    assert (patch.grid.scale, patch.grid.tiles, patch.grid.region) == \
+        (computed.scale, computed.tiles, computed.region)
+
+
+RECURSIVE_BASES = [
+    BASE,
+    (P(F(-1, 3), F(2, 7)), P(F(5, 2), -1), P(F(1, 6), F(9, 4))),
+    (P(-6, -4), P(-2, -5), P(-3, F(-1, 10))),
+]
+
+
+class TestLatticeGeneratorsAgainstOracles:
+    """The lattice generators give what Fraction arithmetic gives."""
+
+    @pytest.mark.parametrize("t", [F(2), F(3), F(5, 3), F(7, 2), F(101, 100)], ids=str)
+    @pytest.mark.parametrize("base", range(len(RECURSIVE_BASES)))
+    def test_recursive(self, t, base):
+        for depth in range(16):
+            spec = RecursiveSplitSpec(RECURSIVE_BASES[base], t, depth)
+            assert_matches_oracle(gen_recursive_split(spec), oracle_recursive(spec))
+
+    @pytest.mark.parametrize("b", [F(1), F(2), F(5, 7), F(433, 250), F(1, 1000)], ids=str)
+    @pytest.mark.parametrize("h", [F(1), F(2), F(5, 7), F(433, 250), F(1, 1000)], ids=str)
+    def test_two_scale(self, b, h):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                spec = TwoScaleSpec(b, h, m, n)
+                assert_matches_oracle(gen_two_scale_periodic(spec), oracle_two_scale(spec))
+
+
+class TestGridHandOver:
+    """A generated patch keeps the grid it was built on through a full
+    audit: the lcm route of ``TilingPatch.grid`` runs only for the
+    families built from rationals, once, at generation."""
+
+    @pytest.fixture
+    def lcm_routes(self, monkeypatch):
+        calls = []
+        prop = TilingPatch.__dict__["grid"]
+        route = prop.func
+        monkeypatch.setattr(prop, "func", lambda patch: calls.append(patch) or route(patch))
+        return calls
+
+    @pytest.mark.parametrize("family, want", [
+        (lambda: gen_recursive_split(RecursiveSplitSpec(RECURSIVE_BASES[1], F(5, 3), 6)), 0),
+        (lambda: gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 3)), 0),
+        (lambda: gen_convex_triangulation(convex_polygon_on_circle(7, 7), "random", 7), 1),
+        (lambda: gen_reflected_pair(Triangle(P(0, 0), P(4, 0), P(1, 3)), "midpoint"), 1),
+    ], ids=["recursive", "twoscale", "convex", "pair"])
+    def test_lcm_route_runs(self, lcm_routes, family, want):
+        patch = family()
+        g = build_incidence(patch)
+        w_audit(g)
+        min_margin(patch)
+        asymptotic_audit(patch, [])
+        x = patch.tiles[0]
+        centre = Point((x.a.x + x.b.x + x.c.x) / 3, (x.a.y + x.b.y + x.c.y) / 3)
+        piece = extract_disk_patch(patch, centre, F(1, 10)).patch
+        asymptotic_audit(piece, [])
+        assert len(lcm_routes) == want
+
+    def test_cli_generate_runs_no_lcm_route(self, lcm_routes, tmp_path, capsys):
+        for argv in (["twoscale", "--b", "2", "--h", "433/250", "--m", "6", "--n", "6"],
+                     ["recursive", "--depth", "100"]):
+            assert main(["generate", *argv, "-o", str(tmp_path / "out.til")]) == 0
+        assert lcm_routes == []

@@ -11,7 +11,7 @@ from tritile import (Point, TilingParseError, TilingPatch, Triangle,
                      apply_affine, parse_tiling, serialize_tiling,
                      side_length_range, validate_patch)
 
-from tritile.model import Grid
+from tritile.model import DegenerateRow, Grid
 from tritile.radicals import START_BITS, _bounds
 
 from conftest import rand_triangle
@@ -167,6 +167,29 @@ class TestParsedGrid:
     def test_scale_is_the_lcm_of_the_lowest_terms_denominators(self, text, scale):
         patch = parse_tiling(f"#TILING 1\n{text}\n")
         assert patch.grid.scale == scale
+
+    @pytest.mark.parametrize("scale, rows, region", [
+        (6, [(0, 0, 6, 0, 0, 6), (6, 0, 6, 6, 0, 6)], (0, 0, 6, 0, 6, 6, 0, 6)),
+        (12, [(-4, 8, 2, -6, 10, 0)], None),
+        (7, [(3, 1, 0, 0, 2, 5)], (0, 0, 1, 0, 0, 1)),
+        (5, [], None),
+    ])
+    def test_from_grid_cuts_the_scale_to_the_lcm(self, scale, rows, region):
+        patch = TilingPatch.from_grid(scale, rows, region, (("k", "v"),))
+        pt = lambda x, y: Point(F(x, scale), F(y, scale))  # noqa: E731
+        built = TilingPatch(
+            tuple(Triangle(pt(*r[:2]), pt(*r[2:4]), pt(*r[4:])) for r in rows),
+            None if region is None else tuple(map(pt, region[::2], region[1::2])),
+            (("k", "v"),))
+        assert patch == built
+        assert patch.grid == built.grid
+        assert patch.grid.scale == math.lcm(*(c.denominator for t in built.tiles for p in t.vertices
+                                              for c in (p.x, p.y)), 1)
+
+    def test_from_grid_names_the_degenerate_row(self):
+        with pytest.raises(DegenerateRow) as exc:
+            TilingPatch.from_grid(2, [(0, 0, 2, 0, 0, 2), (0, 0, 1, 1, 2, 2)])
+        assert exc.value.index == 1
 
     def test_one_orientation_test_per_tile_for_patch_and_grid(self, monkeypatch):
         data = (GOLDEN / "twoscale-2.til").read_bytes()
