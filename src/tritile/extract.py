@@ -20,20 +20,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point, Triangle, cross, segment_sq_dist, sq_dist
+from .geometry import Point, Triangle, cross, sq_dist
 from .incidence import IncidenceGraph, build_incidence
 from .model import Grid, TilingPatch
 from .radicals import LengthExpr
 from .report import AuditRecord
 from .stretches import StretchClass
 from .validate import derive_region, point_in_polygon
-
-
-def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
-    """Exact squared distance from p to the closed triangle."""
-    if t.contains(p):
-        return 0
-    return min(segment_sq_dist(a, b, p) for a, b in t.sides())
 
 
 def _disk_on_grid(grid: Grid, center: Point, r_sq: Fraction) -> tuple[int, Point, int]:

@@ -115,18 +115,6 @@ def point_on_segment_interior(a: Point, b: Point, p: Point) -> bool:
     return d1 > 0 and d2 > 0
 
 
-def segment_sq_dist(a: Point, b: Point, p: Point) -> Fraction:
-    """Exact squared distance from p to the closed segment ab."""
-    ab2 = sq_dist(a, b)
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    if dot <= 0:
-        return sq_dist(a, p)
-    if dot >= ab2:
-        return sq_dist(b, p)
-    # the foot lies inside: the distance to the line, cross^2 / |ab|^2
-    return Fraction(cross(a, b, p) ** 2, ab2)
-
-
 @dataclass(frozen=True, slots=True)
 class Triangle:
     """Nondegenerate triangle, stored CCW with the smallest vertex first.

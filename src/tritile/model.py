@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .geometry import Point, Triangle, cross, format_rational, parse_rational, sq_dist, twice_area
+from .geometry import Point, Triangle, cross, format_rational, parse_rational, sq_dist
 from .radicals import START_BITS, Interval, LengthExpr
 
 if TYPE_CHECKING:
@@ -83,11 +83,6 @@ class TilingPatch:
     def tile_area_sum(self) -> Fraction:
         grid = self.grid
         return Fraction(sum(cross(*t.vertices) for t in grid.tiles), 2 * grid.scale ** 2)
-
-    def region_area(self) -> Fraction | None:
-        if self.region is None:
-            return None
-        return polygon_area(self.region)
 
     def with_region(self, region: tuple[Point, ...] | None) -> "TilingPatch":
         return TilingPatch(self.tiles, region, self.metadata)
@@ -193,11 +188,6 @@ class Grid:
         return LengthExpr.sqrt(Fraction(sq, self.scale ** 2), coeff)
 
 
-def polygon_area(poly: tuple[Point, ...]) -> Fraction:
-    """Signed shoelace area (positive for CCW)."""
-    return Fraction(twice_area(poly), 2)
-
-
 def _read(values: dict[str, Fraction], args: list[str], line_no: int) -> None:
     """Read each number text not met before into `values`."""
     for a in args:
@@ -279,17 +269,21 @@ def serialize_tiling(patch: TilingPatch) -> bytes:
            if k.split() != [k] or "#" in k + v or "\n" in v or v != v.strip()]
     if bad:
         raise ValueError("metadata would not read back equal: " + ", ".join(map(repr, bad)))
+    # keyed by identity, as hashing a Fraction costs more than formatting it;
+    # `from_grid` shares one Fraction per distinct value
+    text: dict[int, str] = {}
+
+    def coords(points: Iterable[Point]) -> str:
+        return " ".join([text.get(id(q)) or text.setdefault(id(q), format_rational(q))
+                         for p in points for q in (p.x, p.y)])
+
     out = [MAGIC]
     if patch.region is not None:
-        coords = " ".join(
-            f"{format_rational(p.x)} {format_rational(p.y)}" for p in patch.region)
-        out.append(f"region {len(patch.region)} {coords}")
+        out.append(f"region {len(patch.region)} {coords(patch.region)}")
     for key, value in patch.metadata:
         out.append(f"meta {key} {value}".rstrip())
     for t in patch.tiles:
-        coords = " ".join(
-            f"{format_rational(p.x)} {format_rational(p.y)}" for p in t.vertices)
-        out.append(f"tri {coords}")
+        out.append(f"tri {coords(t.vertices)}")
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

@@ -14,20 +14,14 @@ expression is zero exactly when no term survives.  That makes ``==`` and
 ``!=`` decidable by pure rational arithmetic; they never refine.
 
 ``+``, ``-``, ``*`` and :meth:`LengthExpr.sum` store their operands; the
-canonical form is built when ``terms``, ``repr``, ``==``, ``is_zero``,
-``is_rational``, ``enclosure`` or ``decimal_str`` first reads it, from
-the operands' forms, so it is the form that merging at every step gives
-(``(sqrt(2) - sqrt(2)) + sqrt(8)`` is ``sqrt(8)``), and the operands are
-then freed.  ``sign()`` first bounds the unmerged operands at
-``START_BITS`` on integers, one ``isqrt`` per term; the bounds are exact,
-so this filter never guesses.  When they do not exclude 0, the canonical
-form is built, and if it is not empty its bounds are refined with
-doubling precision, with no cap.  That terminates, however large the
-coordinates are, because the value is then known to be nonzero and the
-width shrinks to 0.  The order comparisons ``<``, ``<=``, ``>`` and
-``>=`` are the sign of the unmerged difference, whose bounds are the
-operands' bounds subtracted (a term's bound does not depend on the
-common denominator), so disjoint operands settle it with no merge.
+canonical form is built when first read, from the operands' forms, so it
+is the form that merging at every step gives (``(sqrt(2) - sqrt(2)) +
+sqrt(8)`` is ``sqrt(8)``), and the operands are then freed.  ``sign()``
+reads it too: 0 if it is empty, else the side of 0 of its first enclosure,
+at ``START_BITS`` and then doubling precision, that excludes 0.  That
+terminates, however large the coordinates are, because the value is then
+nonzero and the width shrinks to 0.  The order comparisons ``<``, ``<=``,
+``>`` and ``>=`` are the sign of the difference.
 
 Radicands are stored as rationals, for ``repr``, but the arithmetic runs
 on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
@@ -47,9 +41,6 @@ ONE = Fraction(1)
 
 #: First precision used when refining an enclosure for a sign decision.
 START_BITS = 64
-
-#: Most operands read to bound an expression before merging it instead.
-FLAT_LIMIT = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +111,8 @@ class LengthExpr:
     def __init__(self, parts: list[tuple] | None = None):
         """The sum of parts, each a (radicand, coefficient) pair of rationals
         or an (expression, multiplier) pair standing for multiplier times
-        that LengthExpr.  The canonical form is built when first read."""
+        that LengthExpr.  The parts are kept until the canonical form is
+        first read, then freed."""
         parts = tuple(parts or ())
         for x, k in parts:
             if k and not isinstance(x, LengthExpr) and x.numerator < 0:
@@ -207,21 +199,13 @@ class LengthExpr:
         return self.refine_until(lambda iv: iv.width <= max_width)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}.  The operands' START_BITS bounds settle
-        it when they exclude 0; else the canonical form is built, and a
-        nonzero one has a nonzero value (module docstring), so doubling the
-        precision of its bounds eventually excludes 0."""
-        terms, bits = self._terms, START_BITS
-        while True:
-            lo, hi, _ = _bounds(_flat_terms(self) if terms is None else terms, bits)
-            if lo > 0 or hi < 0:
-                return 1 if lo > 0 else -1
-            if terms is None:
-                terms = self.terms
-            elif not terms:
-                return 0
-            else:
-                bits *= 2
+        """Exact sign in {-1, 0, 1}: 0 for an empty canonical form, else
+        the side of 0 of its first enclosure that excludes 0.  A nonempty
+        form has a nonzero value (module docstring), so one does."""
+        if not self.terms:
+            return 0
+        iv = self.refine_until(lambda iv: iv.lo > 0 or iv.hi < 0)
+        return 1 if iv.lo > 0 else -1
 
     # Rich comparisons are value comparisons; note that __eq__ therefore
     # deliberately disagrees with identity of the canonical forms
@@ -234,8 +218,7 @@ class LengthExpr:
         return (self - other).is_zero()
 
     def _compare(self, other: object, op: Callable[[int, int], bool]) -> bool:
-        """op(sign of the unmerged self - other, 0), or NotImplemented for a
-        non-LengthExpr; disjoint operands settle it with no merge."""
+        """op(sign of self - other, 0), or NotImplemented for a non-LengthExpr."""
         if not isinstance(other, LengthExpr):
             return NotImplemented
         return op((self - other).sign(), 0)
@@ -277,11 +260,6 @@ class LengthExpr:
         return fraction_decimal(iv.midpoint, digits)
 
 
-def _scaled(terms: Iterable[tuple[Fraction, Fraction]], k: Fraction | int
-            ) -> Iterable[tuple[Fraction, Fraction]]:
-    return terms if k == 1 else [(r, c * k) for r, c in terms]
-
-
 def _build_canonical(e: LengthExpr) -> None:
     """Build e's canonical form, and first, innermost first, that of every
     operand below it that has none, then free their operands.  A node's
@@ -304,38 +282,11 @@ def _build_canonical(e: LengthExpr) -> None:
         raw: list[tuple[Fraction, Fraction]] = []
         for y, k in parts:
             if isinstance(y, LengthExpr):
-                raw += _scaled(y._terms, k)
+                raw += y._terms if k == 1 else [(r, c * k) for r, c in y._terms]
             else:
                 raw.append((y, k))
         object.__setattr__(x, "_terms", _merge_terms(raw))
         object.__setattr__(x, "_parts", None)
-
-
-def _flat_terms(e: LengthExpr) -> Sequence[tuple[Fraction, Fraction]]:
-    """(radicand, coefficient) pairs, unmerged, that sum to e: its canonical
-    terms if built, else its operands', times their multipliers.  Past
-    FLAT_LIMIT operands (shared ones count each time), e's canonical terms
-    instead, so a tree that shares its operands costs no more than merging."""
-    out: list[tuple[Fraction, Fraction]] = []
-    stack: list[tuple[LengthExpr, Fraction | int]] = [(e, 1)]
-    visits = 0
-    while stack:
-        visits += 1
-        if visits > FLAT_LIMIT:
-            return e.terms
-        x, k = stack.pop()
-        if x._terms is not None:
-            out += _scaled(x._terms, k)
-            continue
-        for y, j in x._parts:
-            if not j:
-                continue
-            j = j if k == 1 else j * k
-            if isinstance(y, LengthExpr):
-                stack.append((y, j))
-            else:
-                out.append((y, j))
-    return out
 
 
 def _bounds(terms: Sequence[tuple[Fraction, Fraction]], bits: int) -> tuple[int, int, int]:

@@ -58,10 +58,6 @@ class Stretch:
         return self.grid.point(self.above[-1].b)
 
     @property
-    def side_items(self) -> list[SideRef]:
-        return [i for i in self.above + self.below if i.is_side]
-
-    @property
     def long_item(self) -> SideRef:
         """The single side spanning a tight stretch."""
         assert self.klass is StretchClass.TIGHT

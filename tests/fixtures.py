@@ -1,11 +1,49 @@
-"""Shared hand-built patch fixtures with known exact counts."""
+"""Shared hand-built patch fixtures with known exact counts, and exact
+oracles that the library itself does not need."""
 
 from fractions import Fraction
 
-from tritile import Point, TilingPatch, Triangle
+from tritile import Point, Stretch, TilingPatch, Triangle
+from tritile.geometry import cross, sq_dist, twice_area
 
 F = Fraction
 P = Point.of
+
+
+def segment_sq_dist(a: Point, b: Point, p: Point) -> Fraction:
+    """Exact squared distance from p to the closed segment ab."""
+    ab2 = sq_dist(a, b)
+    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
+    if dot <= 0:
+        return sq_dist(a, p)
+    if dot >= ab2:
+        return sq_dist(b, p)
+    # the foot lies inside: the distance to the line, cross^2 / |ab|^2
+    return Fraction(cross(a, b, p) ** 2, ab2)
+
+
+def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
+    """Exact squared distance from p to the closed triangle."""
+    if t.contains(p):
+        return 0
+    return min(segment_sq_dist(a, b, p) for a, b in t.sides())
+
+
+def polygon_area(poly: tuple[Point, ...]) -> Fraction:
+    """Signed shoelace area (positive for CCW)."""
+    return Fraction(twice_area(poly), 2)
+
+
+def region_area(patch: TilingPatch) -> Fraction | None:
+    """The area of the patch's region polygon, or None without one."""
+    if patch.region is None:
+        return None
+    return polygon_area(patch.region)
+
+
+def side_items(stretch: Stretch) -> list:
+    """The stretch's items that are whole tile sides, both decks."""
+    return [i for i in stretch.above + stretch.below if i.is_side]
 
 
 def square_diag() -> TilingPatch:

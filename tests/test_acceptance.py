@@ -19,7 +19,6 @@ from tritile import (LengthExpr, Point, RecursiveSplitSpec,
                      reflection_classify, shared_side_pairs,
                      side_length_range, validate_patch, w_audit)
 from tritile.cli import main as cli_main
-from tritile.model import polygon_area
 from tritile.report import Status
 
 import fixtures
@@ -100,7 +99,7 @@ def test_criterion_3_recursive_structure():
             assert len(patch.tiles) == 3 * depth + 1
             report = patch.validation
             assert report.ok
-            assert patch.tile_area_sum() == polygon_area(report.derived_region)
+            assert patch.tile_area_sum() == fixtures.polygon_area(report.derived_region)
             g = build_incidence(patch)
             stretches, shared = decompose_stretches(g)
             assert shared == []

@@ -9,11 +9,11 @@ from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
                      build_incidence, extract_disk_patch, fill_holes,
                      gen_recursive_split, gen_two_scale_periodic,
                      parse_tiling, restrict_to_disk, validate_patch)
-from tritile.extract import triangle_sq_dist
 from tritile.report import Status
 from tritile.validate import DISCONNECTED, RegionError
 
 import fixtures
+from fixtures import triangle_sq_dist
 
 F = Fraction
 P = Point.of

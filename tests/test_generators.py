@@ -13,6 +13,7 @@ from tritile.cli import main
 from tritile.stretches import min_margin
 
 from conftest import rand_triangle
+from fixtures import region_area
 
 F = Fraction
 P = Point.of
@@ -30,7 +31,7 @@ class TestRecursiveSplit:
         }
         assert set(patch.tiles) == want
         assert sorted(t.area for t in patch.tiles) == [F(1, 2), 1, 1, 1]
-        assert patch.tile_area_sum() == F(7, 2) == patch.region_area()
+        assert patch.tile_area_sum() == F(7, 2) == region_area(patch)
 
     @pytest.mark.parametrize("t", [F(3, 2), F(2), F(3)])
     @pytest.mark.parametrize("depth", [0, 1, 2, 7, 10])

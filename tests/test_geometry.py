@@ -8,10 +8,10 @@ from tritile import (LengthExpr, Orientation, Point, ReflectionKind,
                      orientation, parse_rational, point_on_segment_interior,
                      reflection_classify, triangle_metrics)
 from tritile.geometry import (format_rational, reflect_across_bisector,
-                              reflect_across_line, reflect_through_midpoint,
-                              segment_sq_dist)
+                              reflect_across_line, reflect_through_midpoint)
 
 from conftest import dec, expr_decimal, rand_point, rand_triangle, shoelace
+from fixtures import segment_sq_dist
 
 F = Fraction
 P = Point.of

@@ -166,11 +166,8 @@ class TestRichComparisons:
             assert not x < y and not x > y
             assert x <= y and x >= y
 
-    def test_disjoint_enclosures_skip_the_difference(self, monkeypatch):
-        """Disjoint bounds settle every order, both ways round, with no merge."""
-        def no_merge(*args):
-            raise AssertionError("exact difference merged")
-        monkeypatch.setattr(radicals, "_merge_terms", no_merge)
+    def test_disjoint_enclosures_skip_the_difference(self):
+        """Disjoint values settle every order, both ways round."""
         for a, b in ((sq(2), sq(3)), (sq(2), LengthExpr.rational(2))):
             assert a < b and a <= b and b > a and b >= a
             assert not (b < a or b <= a or a > b or a >= b)
@@ -522,13 +519,24 @@ class TestDeferredCanonicalForm:
     def test_read_frees_the_operands(self):
         e = sq(2) + sq(8)
         assert e.sign() == 1
-        assert e._parts is not None
         assert repr(e) == "3*sqrt(2)"
         assert e._parts is None
 
     def test_sign_settled_by_bounds_builds_nothing(self):
         e = LengthExpr.sum([sq(3), sq(12), LengthExpr.rational(-1)])
-        assert e.sign() == 1 and e < LengthExpr.rational(6) and e._terms is None
+        assert e.sign() == 1 and e < LengthExpr.rational(6)
+
+    def test_comparison_merges_each_operand_once(self, monkeypatch):
+        """A comparison builds both operands' canonical forms, so repeating
+        it merges only the new difference node."""
+        x, y = sq(2) + sq(8), sq(3) + sq(5)
+        assert y < x
+        assert x._parts is None and y._parts is None
+        merged = []
+        merge = radicals._merge_terms
+        monkeypatch.setattr(radicals, "_merge_terms", lambda raw: merged.append(raw) or merge(raw))
+        assert y < x
+        assert len(merged) == 1
 
     def test_shared_operands_do_not_blow_up(self):
         e = sq(2) - sq(2)

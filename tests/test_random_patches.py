@@ -9,6 +9,7 @@ from tritile import (Point, TilingPatch, Triangle, build_incidence,
                      gen_convex_triangulation, graph_audit, shared_side_pairs,
                      validate_patch)
 
+from fixtures import side_items
 from test_incidence import recount_edges
 from test_stretches import brute_force_shared
 
@@ -62,7 +63,7 @@ class TestRandomValidPatches:
             g = build_incidence(patch)
             stretches, _ = decompose_stretches(g)
             shared = shared_side_pairs(g)
-            on_stretches = [it.side for s in stretches for it in s.side_items]
+            on_stretches = [it.side for s in stretches for it in side_items(s)]
             assert len(on_stretches) == len(set(on_stretches))
             assert len(on_stretches) == 3 * g.t - g.e_full - 2 * len(shared)
 

@@ -240,7 +240,7 @@ class TestDecompose:
             g = build_incidence(patch)
             stretches, _ = decompose_stretches(g)
             shared = shared_side_pairs(g)
-            seen = [item.side for s in stretches for item in s.side_items]
+            seen = [item.side for s in stretches for item in fixtures.side_items(s)]
             assert len(seen) == len(set(seen))
             assert len(seen) == 3 * g.t - g.e_full - 2 * len(shared)
 

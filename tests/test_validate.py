@@ -168,9 +168,8 @@ class TestInvariance:
                      fixtures.notched_split):
             patch = make()
             report = validate_patch(patch)
-            area = patch.region_area() if patch.region else None
-            from tritile.model import polygon_area
-            assert patch.tile_area_sum() == polygon_area(report.derived_region)
+            area = fixtures.region_area(patch) if patch.region else None
+            assert patch.tile_area_sum() == fixtures.polygon_area(report.derived_region)
             if area is not None:
                 assert patch.tile_area_sum() == area
 
