@@ -4,22 +4,19 @@ Every generator self-validates its output, once, and raises
 :class:`GeneratorError` instead of returning a broken patch.  The
 recursive split and the two-scale pattern count on an integer lattice and
 hand its int rows to :meth:`TilingPatch.from_grid`, so no `Fraction` is
-built per point; the convex and pair families start from rationals and
-get their grid from the lcm of the denominators.
+built per point; the convex and pair families hand it their few rational
+points put on the grid by `to_grid`.  Seeded draws read only `random()`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import (Point, Triangle, cross, is_convex, reflect_across_bisector,
                        reflect_across_line, reflect_through_midpoint)
-from .model import Grid, TilingPatch
-
-F = Fraction
+from .model import Grid, TilingPatch, to_grid
 
 
 class GeneratorError(ValueError):
@@ -30,7 +27,8 @@ def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
     """Validate once.  A patch without a region gets the derived one and
     keeps this report, its graph re-pointed at the new patch (validating
     it with that region gives an equal report), and its grid, with the
-    outline the validator found on it as the grid region."""
+    outline the validator found on it as the grid region; the region's
+    points are the tiles' own."""
     report = patch.validation
     if not report.ok:
         raise GeneratorError(
@@ -38,7 +36,8 @@ def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
             + "; ".join(v.describe() for v in report.violations))
     if patch.region is not None:
         return patch
-    with_region = patch.with_region(report.derived_region)
+    own = {p: r for g, t in zip(patch.grid.tiles, patch.tiles) for p, r in zip(g.vertices, t.vertices)}
+    with_region = patch.with_region(tuple(own[p] for p in report.graph.outline))
     with_region.__dict__["grid"] = Grid(patch.grid.scale, patch.grid.tiles, report.graph.outline)
     with_region.__dict__["validation"] = replace(
         report, graph=replace(report.graph, patch=with_region))
@@ -75,9 +74,9 @@ def gen_recursive_split(spec: RecursiveSplitSpec) -> TilingPatch:
     the base's common denominator times q**depth, so every step
     (v_i - v_{i+1}) * p / q is an exact int division."""
     p, q = spec.t.numerator, spec.t.denominator
-    scale = math.lcm(*(c.denominator for v in spec.base for c in (v.x, v.y))) * q ** spec.depth
-    level = [(v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
-             for v in spec.base]
+    scale, ints = to_grid(*(c for v in spec.base for c in (v.x, v.y)))
+    scale, ints = scale * q ** spec.depth, [c * q ** spec.depth for c in ints]
+    level = list(zip(ints[::2], ints[1::2]))
     rows = [[c for v in level for c in v]]
     for _ in range(spec.depth):
         nxt = [(bx + (ax - bx) * p // q, by + (ay - by) * p // q)
@@ -115,8 +114,7 @@ def gen_two_scale_periodic(spec: TwoScaleSpec) -> TilingPatch:
     """Counted in units of b/4 across and h/2 up, on the grid of their
     common denominator."""
     b, h = spec.b, spec.h
-    scale = math.lcm(4 * b.denominator, 2 * h.denominator)
-    ux, uy = b.numerator * (scale // (4 * b.denominator)), h.numerator * (scale // (2 * h.denominator))
+    scale, (ux, uy) = to_grid(b / 4, h / 2)
 
     up = (0, 0, 4, 0, 2, 2)
     up_off = (3, 1, 7, 1, 5, 3)
@@ -140,25 +138,29 @@ def gen_two_scale_periodic(spec: TwoScaleSpec) -> TilingPatch:
     return _self_validate(TilingPatch.from_grid(scale, rows, None, meta), "two-scale pattern")
 
 
+def _draw(rng: random.Random, n: int) -> int:
+    """floor(i * n / 2**53) in range(n), for the exact i / 2**53 of one ``rng.random()``."""
+    return int(rng.random() * 2 ** 53) * n >> 53
+
+
 def convex_polygon_on_circle(k: int, seed: int | None = None) -> tuple[Point, ...]:
     """A strictly convex CCW k-gon with exact rational vertices on the
-    unit circle, via the rational parametrization t -> ((1-t^2), 2t)/(1+t^2).
+    unit circle: vertex i at angle 4 atan(j/m), m = 10k, j = 20i + 10 - m,
+    by the rational parametrization t -> ((1-t^2), 2t)/(1+t^2) of the
+    half-angle tangent t = b/a, a = m^2 - j^2, b = 2jm.
 
-    A seed jitters the angular spacing; the same seed reproduces the same
-    polygon.
+    A seed moves each j by up to 6 of the 20 steps per vertex; the same
+    seed reproduces the same polygon.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     rng = random.Random(seed)
-    ts = []
-    for i in range(k):
-        jitter = rng.uniform(-0.3, 0.3) if seed is not None else 0.0
-        theta = -math.pi + 2 * math.pi * (i + 0.5 + jitter) / k
-        ts.append(F(math.tan(theta / 2)).limit_denominator(10 ** 6))
+    m = 10 * k
     pts = []
-    for t in ts:
-        den = 1 + t * t
-        pts.append(Point((1 - t * t) / den, 2 * t / den))
+    for i in range(k):
+        j = 20 * i + 10 - m + (_draw(rng, 13) - 6 if seed is not None else 0)
+        a, b = m * m - j * j, 2 * j * m
+        pts.append(Point(Fraction(a * a - b * b, a * a + b * b), Fraction(2 * a * b, a * a + b * b)))
     return tuple(pts)
 
 
@@ -176,23 +178,19 @@ def gen_convex_triangulation(vertices: tuple[Point, ...],
     if not is_convex(vertices):
         raise GeneratorError("vertices must form a strictly convex CCW polygon")
 
-    tiles: list[Triangle] = []
     if strategy == "fan":
-        for i in range(1, k - 1):
-            tiles.append(Triangle(vertices[0], vertices[i], vertices[i + 1]))
+        triples = [(0, i, i + 1) for i in range(1, k - 1)]
     elif strategy == "random":
         rng = random.Random(seed)
+        triples = []
 
         def split(idx: list[int]) -> None:
-            if len(idx) == 3:
-                tiles.append(Triangle(*(vertices[i] for i in idx)))
-                return
             n = len(idx)
-            while True:
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                if (j - i) % n >= 2 and (i - j) % n >= 2:
-                    break
+            if n == 3:
+                triples.append(idx)
+                return
+            i = _draw(rng, n)
+            j = (i + 2 + _draw(rng, n - 3)) % n  # one of the n - 3 corners not next to i
             i, j = min(i, j), max(i, j)
             split(idx[i:j + 1])
             split(idx[j:] + idx[:i + 1])
@@ -201,10 +199,11 @@ def gen_convex_triangulation(vertices: tuple[Point, ...],
     else:
         raise GeneratorError(f"unknown strategy {strategy!r}")
 
+    scale, ints = to_grid(*(c for v in vertices for c in (v.x, v.y)))
+    rows = [[ints[c] for i in triple for c in (2 * i, 2 * i + 1)] for triple in triples]
     meta = (("generator", "convex"), ("k", str(k)),
             ("strategy", strategy), ("seed", str(seed)))
-    return _self_validate(TilingPatch(tuple(tiles), vertices, meta),
-                          "convex triangulation")
+    return _self_validate(TilingPatch.from_grid(scale, rows, ints, meta), "convex triangulation")
 
 
 def gen_reflected_pair(t: Triangle, kind: str) -> TilingPatch:
@@ -230,9 +229,9 @@ def gen_reflected_pair(t: Triangle, kind: str) -> TilingPatch:
     meta = (("generator", "pair"), ("kind", kind))
     if zp == z:
         # isoceles apex fixed by the bisector: the pair degenerates
-        return TilingPatch((t, t), None, meta + (("degenerate", "identity"),))
-    t2 = Triangle(x, y, zp)
-    patch = TilingPatch((t, t2), None, meta)
+        meta += (("degenerate", "identity"),)
+    scale, ints = to_grid(*(c for p in (x, y, z, zp) for c in (p.x, p.y)))
+    patch = TilingPatch.from_grid(scale, [ints[:6], ints[:4] + ints[6:]], None, meta)
     if kind in ("line", "midpoint"):
         return _self_validate(patch, "reflected pair")
     return patch

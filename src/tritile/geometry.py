@@ -169,12 +169,6 @@ class Triangle:
     def perimeter(self) -> LengthExpr:
         return LengthExpr.sum(LengthExpr.sqrt(sq_dist(p, q)) for p, q in self.sides())
 
-    def contains(self, p: Point) -> bool:
-        """Closed containment test."""
-        return (cross(self.a, self.b, p) >= 0
-                and cross(self.b, self.c, p) >= 0
-                and cross(self.c, self.a, p) >= 0)
-
 
 def triangle_metrics(t: Triangle) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction], LengthExpr]:
     """(exact area, squared side multiset, perimeter as a radical sum)."""

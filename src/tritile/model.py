@@ -14,13 +14,13 @@ validation beyond syntax and triangle nondegeneracy; see
 :func:`tritile.validate.validate_patch` for the geometric checks.
 
 A patch holds rationals; its analysis runs on its :class:`Grid`, the patch
-scaled once by the common denominator D of its coordinates to ints.  A
-patch whose coordinates are known as ints over a common scale is built by
-:meth:`TilingPatch.from_grid`, which puts each triangle in order once, on
-those ints, and hands the grid over with the patch.  The parser (which
-reads each number once and takes D over the file), the recursive and
-two-scale generators and the extracted disk piece are all built that way;
-a patch built in code from rationals gets its grid on first use.
+scaled once by the common denominator D of its coordinates to ints, which
+:func:`to_grid` computes.  A patch whose coordinates are known as ints
+over a common scale is built by :meth:`TilingPatch.from_grid`, which puts
+each triangle in order once, on those ints, and hands the grid over with
+the patch.  The parser, every generator, :func:`apply_affine` and the
+extracted disk piece are all built that way; a patch built in code from
+rationals gets its grid on first use, by the same two.
 """
 
 from __future__ import annotations
@@ -130,17 +130,13 @@ class TilingPatch:
     @cached_property
     def grid(self) -> Grid:
         """The patch on its integer grid.  `from_grid` hands over the grid it
-        built; for a patch built from rationals it is computed on first use,
-        from the lcm of the coordinates' denominators."""
+        built; a patch built from rationals in code gets one on first use,
+        by `to_grid` and `from_grid`."""
         pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
-        scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-
-        def up(p: Point) -> Point:
-            return Point(p.x.numerator * (scale // p.x.denominator),
-                         p.y.numerator * (scale // p.y.denominator))
-
-        return Grid(scale, tuple(Triangle.normalized(*map(up, t.vertices)) for t in self.tiles),
-                    None if self.region is None else tuple(map(up, self.region)))
+        scale, ints = to_grid(*(c for p in pts for c in (p.x, p.y)))
+        n = 6 * len(self.tiles)
+        return TilingPatch.from_grid(scale, [ints[i:i + 6] for i in range(0, n, 6)],
+                                     None if self.region is None else ints[n:]).grid
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -186,6 +182,12 @@ class Grid:
 
     def length(self, sq: int, coeff: Fraction | int = 1) -> LengthExpr:
         return LengthExpr.sqrt(Fraction(sq, self.scale ** 2), coeff)
+
+
+def to_grid(*values: Fraction) -> tuple[int, list[int]]:
+    """(D, each value times D), D the lcm of the values' denominators."""
+    scale = math.lcm(*(q.denominator for q in values))
+    return scale, [q.numerator * (scale // q.denominator) for q in values]
 
 
 def _read(values: dict[str, Fraction], args: list[str], line_no: int) -> None:
@@ -249,8 +251,8 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
     except TilingParseError as exc:
         fault = exc  # unless a degenerate triangle on an earlier line wins
 
-    scale = math.lcm(*(q.denominator for q in values.values()))
-    on_grid = {a: q.numerator * (scale // q.denominator) for a, q in values.items()}
+    scale, ints = to_grid(*values.values())
+    on_grid = dict(zip(values, ints))
     try:
         patch = TilingPatch.from_grid(
             scale, [[on_grid[a] for a in args] for _, args in rows],
@@ -289,25 +291,23 @@ def serialize_tiling(patch: TilingPatch) -> bytes:
 
 def apply_affine(patch: TilingPatch, m: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]],
                  v: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))) -> TilingPatch:
-    """Map every point through x -> m@x + v, exactly.
-
-    Orientation is renormalized by the Triangle constructor when
-    det(m) < 0; a region polygon is re-reversed to stay CCW.
+    """Map every point through x -> m@x + v, exactly, on the grid: with L
+    the common denominator of m and v*D, a grid point p over scale D maps
+    to the ints (L*m)@p + L*v*D over D*L.  A region polygon is reversed
+    when det(m) < 0 to stay CCW.
     """
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if det == 0:
         raise ValueError("singular matrix")
+    grid = patch.grid
+    lcm, (a, b, c, d, e, f) = to_grid(*m[0], *m[1], v[0] * grid.scale, v[1] * grid.scale)
 
-    def f(p: Point) -> Point:
-        return Point(m[0][0] * p.x + m[0][1] * p.y + v[0],
-                     m[1][0] * p.x + m[1][1] * p.y + v[1])
+    def image(points: Iterable[Point]) -> list[int]:
+        return [z for p in points for z in (a * p.x + b * p.y + e, c * p.x + d * p.y + f)]
 
-    tiles = tuple(Triangle(f(t.a), f(t.b), f(t.c)) for t in patch.tiles)
-    region = None
-    if patch.region is not None:
-        mapped = tuple(f(p) for p in patch.region)
-        region = mapped if det > 0 else tuple(reversed(mapped))
-    return TilingPatch(tiles, region, patch.metadata)
+    region = None if grid.region is None else image(grid.region if det > 0 else grid.region[::-1])
+    return TilingPatch.from_grid(grid.scale * lcm, [image(t.vertices) for t in grid.tiles],
+                                 region, patch.metadata)
 
 
 def side_length_range(patch: TilingPatch, precision_bits: int = 64) -> tuple[Interval, Interval]:

@@ -1,10 +1,12 @@
 """Shared hand-built patch fixtures with known exact counts, and exact
 oracles that the library itself does not need."""
 
+import math
 from fractions import Fraction
 
 from tritile import Point, Stretch, TilingPatch, Triangle
 from tritile.geometry import cross, sq_dist, twice_area
+from tritile.model import Grid
 
 F = Fraction
 P = Point.of
@@ -22,9 +24,14 @@ def segment_sq_dist(a: Point, b: Point, p: Point) -> Fraction:
     return Fraction(cross(a, b, p) ** 2, ab2)
 
 
+def triangle_contains(t: Triangle, p: Point) -> bool:
+    """Closed containment test."""
+    return cross(t.a, t.b, p) >= 0 and cross(t.b, t.c, p) >= 0 and cross(t.c, t.a, p) >= 0
+
+
 def triangle_sq_dist(t: Triangle, p: Point) -> Fraction:
     """Exact squared distance from p to the closed triangle."""
-    if t.contains(p):
+    if triangle_contains(t, p):
         return 0
     return min(segment_sq_dist(a, b, p) for a, b in t.sides())
 
@@ -39,6 +46,40 @@ def region_area(patch: TilingPatch) -> Fraction | None:
     if patch.region is None:
         return None
     return polygon_area(patch.region)
+
+
+def lcm_grid(patch: TilingPatch) -> Grid:
+    """The patch's grid computed from its rational points alone, with no
+    `from_grid`: each point times the lcm of the denominators, each tile
+    kept in the order it has."""
+    pts = [p for t in patch.tiles for p in t.vertices] + list(patch.region or ())
+    scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+
+    def up(p: Point) -> Point:
+        return Point(p.x.numerator * (scale // p.x.denominator),
+                     p.y.numerator * (scale // p.y.denominator))
+
+    return Grid(scale, tuple(Triangle.normalized(*map(up, t.vertices)) for t in patch.tiles),
+                None if patch.region is None else tuple(map(up, patch.region)))
+
+
+def apply_affine_rational(patch: TilingPatch, m, v=(F(0), F(0))) -> TilingPatch:
+    """`tritile.apply_affine` on the rational points: every tile rebuilt as a
+    `Triangle`, the region reversed when det(m) < 0."""
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if det == 0:
+        raise ValueError("singular matrix")
+
+    def f(p: Point) -> Point:
+        return Point(m[0][0] * p.x + m[0][1] * p.y + v[0],
+                     m[1][0] * p.x + m[1][1] * p.y + v[1])
+
+    tiles = tuple(Triangle(f(t.a), f(t.b), f(t.c)) for t in patch.tiles)
+    region = None
+    if patch.region is not None:
+        mapped = tuple(f(p) for p in patch.region)
+        region = mapped if det > 0 else tuple(reversed(mapped))
+    return TilingPatch(tiles, region, patch.metadata)
 
 
 def side_items(stretch: Stretch) -> list:

@@ -33,7 +33,7 @@ CASES = {
                    "2,3/2,1"),
     "recursive-4": (["recursive", "--depth", "4"], "0,0,1"),
     "recursive-12": (["recursive", "--depth", "12"], "0,0,9"),
-    "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/4"),
+    "convex-6": (["convex", "--k", "6", "--seed", "7"], "0,0,1/9"),
 }
 
 #: invalid inputs, `invalid-<name>.til`; `validate` exits 1 on each.  Each

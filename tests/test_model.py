@@ -15,7 +15,7 @@ from tritile.model import DegenerateRow, Grid
 from tritile.radicals import START_BITS, _bounds
 
 from conftest import rand_triangle
-from fixtures import region_area
+from fixtures import apply_affine_rational, lcm_grid, region_area
 from test_random_patches import random_refined_patch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,7 +150,7 @@ class TestParsedGrid:
         patch = parse_tiling(data)
         built = TilingPatch(patch.tiles, patch.region, patch.metadata)
         assert patch == built
-        assert patch.grid == built.grid
+        assert patch.grid == built.grid == lcm_grid(patch)
         assert all(type(c) is int for t in patch.grid.tiles for p in t.vertices
                    for c in (p.x, p.y))
         assert all(type(c) is Fraction for t in patch.tiles for p in t.vertices
@@ -183,7 +183,7 @@ class TestParsedGrid:
             None if region is None else tuple(map(pt, region[::2], region[1::2])),
             (("k", "v"),))
         assert patch == built
-        assert patch.grid == built.grid
+        assert patch.grid == built.grid == lcm_grid(patch)
         assert patch.grid.scale == math.lcm(*(c.denominator for t in built.tiles for p in t.vertices
                                               for c in (p.x, p.y)), 1)
 
@@ -272,6 +272,29 @@ class TestAffine:
         m = ((F(2), F(1)), (F(1), F(1)))
         kinds = {v.kind for v in validate_patch(apply_affine(bad, m)).violations}
         assert "OVERLAP" in kinds
+
+    @pytest.mark.parametrize("m, v", [
+        (((F(0), F(-1)), (F(1), F(0))), (F(0), F(0))),
+        (((F(-1), F(0)), (F(0), F(1))), (F(0), F(0))),
+        (((F(3), F(0)), (F(0), F(3))), (F(0), F(0))),
+        (((F(1, 7), F(0)), (F(0), F(1, 7))), (F(0), F(0))),
+        (((F(1), F(0)), (F(0), F(1))), (F(1, 3), F(-2, 5))),
+    ], ids=["quarter-turn", "reflection", "x3", "x1/7", "shift"])
+    def test_int_route_matches_the_rational_oracle(self, monkeypatch, m, v):
+        """On every golden input: the patch equals the one built from mapped
+        rational triangles, and its grid, handed over by `from_grid` with no
+        run of the lcm route, equals the one computed from those."""
+        prop = TilingPatch.__dict__["grid"]
+        route = prop.func
+        runs = []
+        monkeypatch.setattr(prop, "func", lambda patch: runs.append(patch) or route(patch))
+        for path in sorted(GOLDEN.glob("*.til")):
+            patch = parse_tiling(path.read_bytes())
+            mapped = apply_affine(patch, m, v)
+            want = apply_affine_rational(patch, m, v)
+            assert mapped == want, path.name
+            assert mapped.grid == lcm_grid(want), path.name
+            assert runs == [], path.name
 
 
 class TestSideLengthRange:
