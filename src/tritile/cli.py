@@ -120,7 +120,7 @@ def _cmd_audit(args) -> int:
         cx, cy, r_sq = _rationals(args.disk, 3)
         extraction = extract_disk_patch(patch, Point(cx, cy), r_sq)
         info = AuditRecord("extraction")
-        info.info("selected_t", extraction.t_count)
+        info.info("selected_t", len(extraction.tiles))
         info.info("ring_t", len(extraction.ring))
         info.info("e_full", extraction.e_full)
         info.info("e_part", extraction.e_part)

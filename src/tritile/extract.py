@@ -6,11 +6,13 @@ predicate stays a rational comparison; the radius itself never needs to
 materialize.  The predicates run on the ambient grid's ints, the disk
 scaled into it once, and compare cross-multiplied ints.
 
-Each step reads the ambient incidence graph: the holes are the tiles the
-ambient boundary cannot reach through unselected tiles (one search over
-``adjacency``), the ring is the tiles that share a vertex with the piece
-(the soup's ``incident_tiles``), and connectivity is decided by the
-piece's own validation.
+The piece is a selection of its ambient: its tiles and grid tiles are the
+ambient's own objects, on the ambient grid's scale, and it is named by
+their ambient ids.  Each step reads the ambient incidence graph: the holes
+are the tiles the ambient boundary cannot reach through unselected tiles
+(one search over ``adjacency``), the ring is the tiles that share a vertex
+with a piece id (the soup's ``incident_tiles``), and connectivity is
+decided by the piece's own validation.
 """
 
 from __future__ import annotations
@@ -78,17 +80,19 @@ def restrict_to_disk(ambient: TilingPatch, center: Point, r_sq: Fraction) -> set
     return {i for i, t in enumerate(grid.tiles) if _meets_disk(t, c, k, r)}
 
 
-def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
+def fill_holes(ambient: TilingPatch, selected: set[int]) -> tuple[TilingPatch, list[int]]:
     """Add every ambient tile lying in a bounded complementary component
     of the selected union; the result is simply connected.
 
     A tile stays out of the piece when the ambient boundary reaches it
-    through unselected tiles sharing a side; every other tile is in.  The
-    piece comes back without a region, validated once, and that is the
-    only connectivity check: RegionError (a ValueError) unless the piece
-    is one simple polygon, with kind DISCONNECTED when it falls apart into
-    parts with no common point, pinched or not, and NOT_SIMPLE when it is
-    one pinched piece.
+    through unselected tiles sharing a side; every other tile is in.
+    Returns the piece and its ambient ids, ascending: piece tile i and its
+    grid tile are the ambient's tile and grid tile ``ids[i]``, and the
+    piece's grid keeps the ambient's scale.  The piece comes back without
+    a region, validated once, and that is the only connectivity check:
+    RegionError (a ValueError) unless the piece is one simple polygon, with
+    kind DISCONNECTED when it falls apart into parts with no common point,
+    pinched or not, and NOT_SIMPLE when it is one pinched piece.
     ``build_incidence(piece)`` reuses the report, and its ``region`` is
     the piece's boundary.
     """
@@ -105,29 +109,21 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> TilingPatch:
             if w not in selected and w not in outside:
                 outside.add(w)
                 stack.append(w)
-    piece = TilingPatch.from_grid(
-        ambient.grid.scale, [(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
-                             for i, t in enumerate(ambient.grid.tiles) if i not in outside],
-        None, ambient.metadata)
+    ids = [i for i in range(graph.t) if i not in outside]
+    grid = ambient.grid
+    piece = TilingPatch(tuple(ambient.tiles[i] for i in ids), None, ambient.metadata)
+    piece.__dict__["grid"] = Grid(grid.scale, tuple(grid.tiles[i] for i in ids), None)
     derive_region(piece)  # validates the piece once; RegionError if not simple
-    return piece
+    return piece, ids
 
 
-def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
-    """Ambient tiles outside the patch that share a vertex with it (corner
-    or mid-side), which in a tiling is every tile whose closure touches it.
-    The two grids' tiles are matched on ints, each grid scaled up to the
-    lcm of the two scales (the patch's region may make its grid finer)."""
-    g = math.gcd(ambient.grid.scale, patch.grid.scale)
-    up, down = ambient.grid.scale // g, patch.grid.scale // g
-
-    def key(t: Triangle, k: int) -> tuple[int, ...]:
-        return tuple(c * k for p in t.vertices for c in (p.x, p.y))
-
-    index = {key(t, down): i for i, t in enumerate(ambient.grid.tiles)}
-    inside = {index.get(key(t, up)) for t in patch.grid.tiles}
-    if None in inside:
-        raise ValueError("patch is not a tile subset of the ambient patch")
+def boundary_ring(ambient: TilingPatch, ids: list[int]) -> list[int]:
+    """Ambient tiles outside the ids that share a vertex with one of them
+    (corner or mid-side), which in a tiling is every tile whose closure
+    touches their union.  Raises ValueError on an id that names no tile."""
+    inside = set(ids)
+    if not inside <= set(range(len(ambient.tiles))):
+        raise ValueError("tile id out of range of the ambient patch")
     ring = {t for tiles in build_incidence(ambient).soup.incident_tiles.values()
             if not tiles.isdisjoint(inside) for t in tiles} - inside
     return sorted(ring)
@@ -136,16 +132,13 @@ def boundary_ring(ambient: TilingPatch, patch: TilingPatch) -> list[int]:
 @dataclass
 class ExtractionResult:
     patch: TilingPatch
+    tiles: list[int]
     ring: list[int]
     center: Point
     r_sq: Fraction
     coverage_certificate: bool
     e_full: int
     e_part: int
-
-    @property
-    def t_count(self) -> int:
-        return len(self.patch.tiles)
 
 
 def _disk_plus_one_covered(graph: IncidenceGraph, center: Point, r_sq: Fraction) -> bool:
@@ -173,10 +166,10 @@ def extract_disk_patch(ambient: TilingPatch, center: Point, r_sq: Fraction) -> E
     selected = restrict_to_disk(ambient, center, r_sq)
     if not selected:
         raise ValueError("disk does not meet the patch")
-    patch = fill_holes(ambient, selected)
-    ring = boundary_ring(ambient, patch)
+    patch, tiles = fill_holes(ambient, selected)
+    ring = boundary_ring(ambient, tiles)
     sub = build_incidence(patch)
-    return ExtractionResult(patch, ring, center, r_sq,
+    return ExtractionResult(patch, tiles, ring, center, r_sq,
                             _disk_plus_one_covered(graph, center, r_sq),
                             sub.e_full, sub.e_part)
 

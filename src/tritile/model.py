@@ -18,9 +18,10 @@ scaled once by the common denominator D of its coordinates to ints, which
 :func:`to_grid` computes.  A patch whose coordinates are known as ints
 over a common scale is built by :meth:`TilingPatch.from_grid`, which puts
 each triangle in order once, on those ints, and hands the grid over with
-the patch.  The parser, every generator, :func:`apply_affine` and the
-extracted disk piece are all built that way; a patch built in code from
-rationals gets its grid on first use, by the same two.
+the patch.  The parser, every generator and :func:`apply_affine` are all
+built that way; a patch built in code from rationals gets its grid on
+first use, by the same two.  An extracted disk piece shares its ambient's
+tiles, grid tiles and grid scale.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ class TilingPatch:
 
 @dataclass(frozen=True)
 class Grid:
-    """A patch's tiles and region times `scale`, the lcm of their coordinates'
-    denominators: every coordinate is an int, and tile i side s is still
-    tile i side s.  A grid point p stands for p / scale, a squared grid
-    length n for n / scale**2.  Each tile side is squared once, into
+    """A patch's tiles and region times `scale`, a common denominator: the
+    least one for parsed, generated and `apply_affine` patches; a disk piece
+    keeps its ambient's.  Every coordinate is an int, and tile i side s is
+    still tile i side s.  A grid point p stands for p / scale, a squared
+    grid length n for n / scale**2.  Each tile side is squared once, into
     ``side_squares``, and each square q rooted once, by ``bounds``, into
     ``roots``: q -> the floor and ceiling of sqrt(q) * 2**START_BITS."""
 

@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,8 @@ from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle,
                      TwoScaleSpec, asymptotic_audit, boundary_ring,
                      build_incidence, extract_disk_patch, fill_holes,
                      gen_recursive_split, gen_two_scale_periodic,
-                     parse_tiling, restrict_to_disk, validate_patch)
+                     parse_tiling, restrict_to_disk, serialize_tiling, validate_patch)
+from tritile.cli import main
 from tritile.report import Status
 from tritile.validate import DISCONNECTED, RegionError
 
@@ -182,8 +185,9 @@ class TestRestrict:
 class TestFillHoles:
     def test_already_simply_connected_unchanged(self):
         patch = two_scale(2, 2)
-        got = fill_holes(patch, set(range(len(patch.tiles))))
+        got, ids = fill_holes(patch, set(range(len(patch.tiles))))
         assert got.tiles == patch.tiles
+        assert ids == list(range(len(patch.tiles)))
 
     def test_ring_gets_filled(self):
         patch = two_scale(3, 3)
@@ -194,8 +198,8 @@ class TestFillHoles:
             if all(len(e.incidences) == 2
                    for e in g.soup.edges if i in e.tiles))
         selection = set(range(g.t)) - {interior}
-        got = fill_holes(patch, selection)
-        assert len(got.tiles) == g.t
+        got, ids = fill_holes(patch, selection)
+        assert ids == list(range(g.t))
         assert validate_patch(got).ok
 
     def test_disconnected_selection_rejected(self):
@@ -236,30 +240,28 @@ class TestFillHoles:
     def test_nested_selection_filled(self):
         # the inner tile lies in the hole of the outer ring of three
         patch = gen_recursive_split(RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 2))
-        assert fill_holes(patch, {0, 4, 5, 6}).tiles == patch.tiles
+        piece, ids = fill_holes(patch, {0, 4, 5, 6})
+        assert piece.tiles == patch.tiles and ids == list(range(len(patch.tiles)))
 
     def test_idempotent(self):
         patch = two_scale(3, 2)
         sel = restrict_to_disk(patch, P(2, 1), F(2))
-        once = fill_holes(patch, sel)
-        index = {t: i for i, t in enumerate(patch.tiles)}
-        again = fill_holes(patch, {index[t] for t in once.tiles})
-        assert again.tiles == once.tiles
+        once, ids = fill_holes(patch, sel)
+        again, again_ids = fill_holes(patch, set(ids))
+        assert again_ids == ids and again.tiles == once.tiles
 
     def test_no_spurious_additions(self):
         patch = two_scale(3, 2)
         sel = restrict_to_disk(patch, P(2, 1), F(4))
-        filled = fill_holes(patch, sel)
-        index = {t: i for i, t in enumerate(patch.tiles)}
-        added = {index[t] for t in filled.tiles} - sel
+        _, ids = fill_holes(patch, sel)
         # a disk selection of a valid patch has no holes to fill
-        assert added == set()
+        assert ids == sorted(sel)
 
 
 class TestBoundaryRing:
     def test_full_patch_has_empty_ring(self):
         patch = two_scale(2, 2)
-        assert boundary_ring(patch, patch) == []
+        assert boundary_ring(patch, list(range(len(patch.tiles)))) == []
 
     def test_single_tile_ring_matches_touch_oracle(self):
         patch = two_scale(3, 3)
@@ -268,10 +270,7 @@ class TestBoundaryRing:
             i for i in range(g.t)
             if all(len(e.incidences) == 2
                    for e in g.soup.edges if i in e.tiles))
-        sub = TilingPatch((patch.tiles[inner],), None)
-        from tritile import derive_region
-        sub = sub.with_region(derive_region(sub))
-        got = boundary_ring(patch, sub)
+        got = boundary_ring(patch, [inner])
         want = sorted(i for i, t in enumerate(patch.tiles)
                       if i != inner and closures_touch(t, patch.tiles[inner]))
         assert got == want
@@ -288,27 +287,17 @@ class TestBoundaryRing:
     def test_vertex_contact_included(self):
         # two split squares sharing only the corner (1,1) inside a 2x2 block
         tiles = self.split_squares()
-        patch = TilingPatch(tiles)
-        sub = TilingPatch(tiles[0:2], (P(0, 0), P(1, 0), P(1, 1), P(0, 1)))
-        ring = boundary_ring(patch, sub)
+        ring = boundary_ring(TilingPatch(tiles), [0, 1])
         # tile 7 = upper triangle of block (1,1): touches (1,1) only
         assert 6 in ring
         assert set(ring) == {2, 3, 4, 5, 6, 7}
 
-    def test_region_with_a_finer_vertex(self):
-        # the sub's region adds the vertex (1/3, 0), so its grid is finer
-        # than the ambient's; the ring is the same as without it
-        tiles = self.split_squares()
-        patch = TilingPatch(tiles)
-        sub = TilingPatch(tiles[0:2], (P(0, 0), P(F(1, 3), 0), P(1, 0), P(1, 1), P(0, 1)))
-        assert validate_patch(sub).ok
-        assert boundary_ring(patch, sub) == [2, 3, 4, 5, 6, 7]
-
     def test_not_a_subset_rejected(self):
+        # ids that name no ambient tile
         patch = two_scale(2, 1)
-        alien = TilingPatch((Triangle(P(100, 0), P(101, 0), P(100, 1)),))
-        with pytest.raises(ValueError):
-            boundary_ring(patch, alien)
+        for ids in ([len(patch.tiles)], [-1], [0, 100]):
+            with pytest.raises(ValueError):
+                boundary_ring(patch, ids)
 
 
 def matches_oracles(ambient: TilingPatch, selected: set[int]) -> tuple[set[int], list[int]]:
@@ -316,9 +305,10 @@ def matches_oracles(ambient: TilingPatch, selected: set[int]) -> tuple[set[int],
     a connected selection; the piece's tile indices and the ring."""
     want = fill_oracle(ambient, selected)
     assert want is not None
-    piece = fill_holes(ambient, selected)
-    assert piece.tiles == tuple(ambient.tiles[i] for i in sorted(want))
-    ring = boundary_ring(ambient, piece)
+    piece, ids = fill_holes(ambient, selected)
+    assert ids == sorted(want)
+    assert piece.tiles == tuple(ambient.tiles[i] for i in ids)
+    ring = boundary_ring(ambient, ids)
     assert ring == ring_oracle(ambient, want)
     return want, ring
 
@@ -368,11 +358,10 @@ class TestExtraction:
         patch = two_scale(4, 4)
         res = extract_disk_patch(patch, P(3, 2), F(1))
         assert validate_patch(res.patch).ok
-        assert res.t_count < len(patch.tiles)
+        assert len(res.tiles) < len(patch.tiles)
+        assert res.patch.tiles == tuple(patch.tiles[i] for i in res.tiles)
         assert res.ring
-        index = {t: i for i, t in enumerate(patch.tiles)}
-        inside = {index[t] for t in res.patch.tiles}
-        assert not inside & set(res.ring)
+        assert not set(res.tiles) & set(res.ring)
         g = build_incidence(res.patch)
         assert (res.e_full, res.e_part) == (g.e_full, g.e_part)
         assert res.e_full + res.e_part > 0
@@ -384,6 +373,57 @@ class TestExtraction:
         assert certified.coverage_certificate
         too_big = extract_disk_patch(patch, center, F(16))
         assert not too_big.coverage_certificate
+
+
+class TestPieceSharesItsAmbient:
+    """The disk piece is a selection of its ambient: the ambient's tile and
+    grid tile objects, on the ambient grid's scale, with no new grid."""
+
+    CASES = {
+        "twoscale": (lambda: two_scale(4, 4), P(3, 2), F(1)),
+        "recursive": (lambda: gen_recursive_split(
+            RecursiveSplitSpec((P(0, 0), P(1, 0), P(0, 1)), F(2), 5)), P(0, 0), F(1)),
+        # the piece's own least scale has 10 bits, the ambient's 38
+        "skew": (lambda: gen_recursive_split(
+            RecursiveSplitSpec((P(0, 0), P(F(1, 3), 0), P(0, F(1, 7))), F(5, 3), 40)),
+            P(0, 0), F(1)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_tiles_and_scale_are_the_ambients(self, name):
+        make, center, r_sq = self.CASES[name]
+        ambient = make()
+        res = extract_disk_patch(ambient, center, r_sq)
+        piece, ids = res.patch, res.tiles
+        assert len(piece.tiles) == len(piece.grid.tiles) == len(ids)
+        assert all(t is ambient.tiles[i] for t, i in zip(piece.tiles, ids))
+        assert all(t is ambient.grid.tiles[i] for t, i in zip(piece.grid.tiles, ids))
+        assert piece.grid.scale == ambient.grid.scale
+        # the same tiles on their least grid give the same audit
+        plain = TilingPatch(piece.tiles)
+        assert plain.grid == fixtures.lcm_grid(plain)
+        if name == "skew":
+            assert plain.grid.scale < ambient.grid.scale
+        audits = [asymptotic_audit(p, res.ring, unit_perimeter=True, r_sq=r_sq,
+                                   coverage_certificate=res.coverage_certificate).render()
+                  for p in (piece, plain)]
+        assert audits[0] == audits[1]
+
+    def test_cli_disk_audit_builds_one_grid(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.til"
+        path.write_bytes(serialize_tiling(self.CASES["skew"][0]()))
+        from_grid = TilingPatch.from_grid.__func__
+        calls = []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return from_grid(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TilingPatch, "from_grid", classmethod(counted))
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["audit", str(path), "--disk", "0,0,1"]) == 0
+        assert "selected_t = 15" in out.getvalue()
+        assert len(calls) == 1  # the parser's; the piece builds none
 
 
 class TestAsymptoticAudit:
@@ -417,10 +457,8 @@ class TestAsymptoticAudit:
             i for i in range(g.t)
             if all(len(e.incidences) == 2
                    for e in g.soup.edges if i in e.tiles))
-        from tritile import derive_region
-        sub = TilingPatch((patch.tiles[inner],), None)
-        sub = sub.with_region(derive_region(sub))
-        ring = boundary_ring(patch, sub)
+        sub, ids = fill_holes(patch, {inner})
+        ring = boundary_ring(patch, ids)
         rec = asymptotic_audit(sub, ring)
         assert rec.get("partial_boundary_bound").status is Status.PASS
         assert rec.get("partial_boundary_bound").value == f"0 {3 * len(ring)}"
