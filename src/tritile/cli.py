@@ -81,7 +81,7 @@ def _cmd_generate(args) -> int:
         patch = gen_reflected_pair(tri, args.kind)
     with open(args.output, "wb") as fh:
         fh.write(serialize_tiling(patch))
-    print(f"wrote {len(patch.tiles)} tiles to {args.output}")
+    print(f"wrote {len(patch)} tiles to {args.output}")
     return 0
 
 

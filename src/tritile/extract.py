@@ -86,9 +86,9 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> tuple[TilingPatch, l
 
     A tile stays out of the piece when the ambient boundary reaches it
     through unselected tiles sharing a side; every other tile is in.
-    Returns the piece and its ambient ids, ascending: piece tile i and its
-    grid tile are the ambient's tile and grid tile ``ids[i]``, and the
-    piece's grid keeps the ambient's scale.  The piece comes back without
+    Returns the piece and its ambient ids, ascending: piece grid tile i
+    is the ambient's grid tile ``ids[i]``, on the ambient's scale, so piece
+    tile i equals ambient tile ``ids[i]``.  The piece comes back without
     a region, validated once, and that is the only connectivity check:
     RegionError (a ValueError) unless the piece is one simple polygon, with
     kind DISCONNECTED when it falls apart into parts with no common point,
@@ -98,7 +98,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> tuple[TilingPatch, l
     """
     if not selected:
         raise ValueError("empty selection")
-    if not selected <= set(range(len(ambient.tiles))):
+    if not selected <= set(range(len(ambient))):
         raise ValueError("selection is not a subset of the ambient patch")
     graph = build_incidence(ambient)
     adj = graph.adjacency
@@ -111,8 +111,7 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> tuple[TilingPatch, l
                 stack.append(w)
     ids = [i for i in range(graph.t) if i not in outside]
     grid = ambient.grid
-    piece = TilingPatch(tuple(ambient.tiles[i] for i in ids), None, ambient.metadata)
-    piece.__dict__["grid"] = Grid(grid.scale, tuple(grid.tiles[i] for i in ids), None)
+    piece = TilingPatch.wrap(Grid(grid.scale, tuple(grid.tiles[i] for i in ids), None), ambient.metadata)
     derive_region(piece)  # validates the piece once; RegionError if not simple
     return piece, ids
 
@@ -122,7 +121,7 @@ def boundary_ring(ambient: TilingPatch, ids: list[int]) -> list[int]:
     (corner or mid-side), which in a tiling is every tile whose closure
     touches their union.  Raises ValueError on an id that names no tile."""
     inside = set(ids)
-    if not inside <= set(range(len(ambient.tiles))):
+    if not inside <= set(range(len(ambient))):
         raise ValueError("tile id out of range of the ambient patch")
     ring = {t for tiles in build_incidence(ambient).soup.incident_tiles.values()
             if not tiles.isdisjoint(inside) for t in tiles} - inside

@@ -24,21 +24,18 @@ class GeneratorError(ValueError):
 
 
 def _self_validate(patch: TilingPatch, what: str) -> TilingPatch:
-    """Validate once.  A patch without a region gets the derived one and
-    keeps this report, its graph re-pointed at the new patch (validating
-    it with that region gives an equal report), and its grid, with the
-    outline the validator found on it as the grid region; the region's
-    points are the tiles' own."""
+    """Validate once.  A patch without a region becomes its grid tiles with
+    the outline the validator found as their region, and keeps this report,
+    its graph re-pointed at it (validating it gives an equal report)."""
     report = patch.validation
     if not report.ok:
         raise GeneratorError(
             f"{what} produced an invalid patch: "
             + "; ".join(v.describe() for v in report.violations))
-    if patch.region is not None:
+    grid = patch.grid
+    if grid.region is not None:
         return patch
-    own = {p: r for g, t in zip(patch.grid.tiles, patch.tiles) for p, r in zip(g.vertices, t.vertices)}
-    with_region = patch.with_region(tuple(own[p] for p in report.graph.outline))
-    with_region.__dict__["grid"] = Grid(patch.grid.scale, patch.grid.tiles, report.graph.outline)
+    with_region = TilingPatch.wrap(Grid(grid.scale, grid.tiles, report.graph.outline), patch.metadata)
     with_region.__dict__["validation"] = replace(
         report, graph=replace(report.graph, patch=with_region))
     return with_region

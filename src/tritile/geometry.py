@@ -139,17 +139,6 @@ class Triangle:
         object.__setattr__(self, "b", pts[1])
         object.__setattr__(self, "c", pts[2])
 
-    @classmethod
-    def normalized(cls, a: Point, b: Point, c: Point) -> "Triangle":
-        """The triangle abc, whose vertices must already be CCW with the
-        smallest first; kept as given, with no test.  Scaling a stored
-        triangle by a positive factor keeps both properties."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "a", a)
-        object.__setattr__(t, "b", b)
-        object.__setattr__(t, "c", c)
-        return t
-
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.a, self.b, self.c)

@@ -43,7 +43,7 @@ from .report import AuditRecord
 
 if TYPE_CHECKING:
     from .radicals import LengthExpr
-    from .stretches import SideLabel, Stretch
+    from .stretches import SharedSide, SideLabel, Stretch
 
 LineKey = tuple[int, int, int]
 
@@ -191,12 +191,8 @@ class IncidenceGraph:
     boundary_vertices: set[Point]
 
     @property
-    def tiles(self) -> tuple[Triangle, ...]:
-        return self.patch.tiles
-
-    @property
     def t(self) -> int:
-        return len(self.patch.tiles)
+        return len(self.patch)
 
     @property
     def v(self) -> int:
@@ -252,7 +248,7 @@ class IncidenceGraph:
     # its public functions; callers share them and must not mutate them.
 
     @cached_property
-    def decomposition(self) -> tuple[list[Stretch], list[tuple[int, int, tuple[Point, Point]]]]:
+    def decomposition(self) -> tuple[list[Stretch], list[SharedSide]]:
         """The stretches and the shared sides, as decompose_stretches gives them."""
         from .stretches import decompose_stretches
         return decompose_stretches(self)

@@ -13,15 +13,14 @@ comment anywhere except inside the line-1 magic.  Parsing performs no
 validation beyond syntax and triangle nondegeneracy; see
 :func:`tritile.validate.validate_patch` for the geometric checks.
 
-A patch holds rationals; its analysis runs on its :class:`Grid`, the patch
-scaled once by the common denominator D of its coordinates to ints, which
-:func:`to_grid` computes.  A patch whose coordinates are known as ints
-over a common scale is built by :meth:`TilingPatch.from_grid`, which puts
-each triangle in order once, on those ints, and hands the grid over with
-the patch.  The parser, every generator and :func:`apply_affine` are all
-built that way; a patch built in code from rationals gets its grid on
-first use, by the same two.  An extracted disk piece shares its ambient's
-tiles, grid tiles and grid scale.
+A patch is its :class:`Grid`: its tiles and region times the common
+denominator D of their coordinates (:func:`to_grid`), all ints, on which
+every analysis runs.  :meth:`TilingPatch.from_grid` builds one from ints,
+putting each triangle in order once; the parser, every generator and
+:func:`apply_affine` use it, and :func:`serialize_tiling` writes the ints.
+Rational tiles and region are derived only when read; a patch built in
+code from rationals keeps them and gets its grid on first use.  A disk
+piece selects its ambient's grid tiles, on its ambient's scale.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class DegenerateRow(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
 class TilingPatch:
     """A finite collection of tiles, optionally with its region polygon.
 
@@ -66,20 +64,28 @@ class TilingPatch:
     every report.  The patch itself is plain data; whether the tiles
     actually tile the region is the validator's business.  A patch is
     immutable, so its analysis is computed on first use and kept on it.
+    A patch from `from_grid` or `wrap` holds its :class:`Grid` and derives
+    its rational tiles and region on first read; one built from rationals
+    keeps them.  Equality compares tiles, region and metadata.
     """
 
-    tiles: tuple[Triangle, ...]
-    region: tuple[Point, ...] | None = None
-    metadata: tuple[tuple[str, str], ...] = ()
+    def __init__(self, tiles: Iterable[Triangle], region: Iterable[Point] | None = None,
+                 metadata: Iterable[tuple[str, str]] = ()):
+        self.__dict__.update(tiles=tuple(tiles), region=None if region is None else tuple(region),
+                             metadata=tuple(metadata))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        if self.region is not None:
-            object.__setattr__(self, "region", tuple(self.region))
-        object.__setattr__(self, "metadata", tuple(self.metadata))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable TilingPatch")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TilingPatch) and (
+            (self.tiles, self.region, self.metadata) == (other.tiles, other.region, other.metadata))
+
+    def __hash__(self) -> int:
+        return hash((self.tiles, self.region, self.metadata))
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.grid.tiles)
 
     def tile_area_sum(self) -> Fraction:
         grid = self.grid
@@ -89,50 +95,53 @@ class TilingPatch:
         return TilingPatch(self.tiles, region, self.metadata)
 
     @classmethod
+    def wrap(cls, grid: Grid, metadata: Iterable[tuple[str, str]] = ()) -> "TilingPatch":
+        """The patch whose grid is `grid`."""
+        patch = cls.__new__(cls)
+        patch.__dict__.update(grid=grid, metadata=tuple(metadata))
+        return patch
+
+    @classmethod
     def from_grid(cls, scale: int, rows: Sequence[Sequence[int]], region: Sequence[int] | None = None,
                   metadata: Iterable[tuple[str, str]] = ()) -> "TilingPatch":
         """The patch whose tile i is ``rows[i]`` = x1 y1 x2 y2 x3 y3 and whose
-        region is x1 y1 ... xn yn, every coordinate an int over `scale`, with
+        region is x1 y1 ... xn yn, every coordinate an int over `scale`, as
         its grid.  The scale is first cut to the lcm of the coordinates'
         denominators by one gcd over it and them.  Each distinct point gets
-        one grid and one rational `Point`, and each triangle is put in order
-        once, on the ints.  Raises :class:`DegenerateRow`."""
+        one grid point, and each triangle is put in order once, on the
+        ints.  Raises :class:`DegenerateRow`."""
         g = math.gcd(scale, *chain.from_iterable(rows), *(region or ()))
-        scale //= g
         points: dict[tuple[int, int], Point] = {}  # given ints -> grid point
-        rational: dict[int, Point] = {}  # id of a grid point in `points` -> rational point
-        values: dict[int, Fraction] = {}
 
         def point(x: int, y: int) -> Point:
-            p = points[x, y] = Point(x // g, y // g)
-            for c in (p.x, p.y):
-                if c not in values:
-                    values[c] = Fraction(c, scale)
-            rational[id(p)] = Point(values[p.x], values[p.y])
-            return p
+            return points.setdefault((x, y), Point(x // g, y // g))
 
         get = points.get
-        tiles, grid_tiles = [], []
+        tiles = []
         for i, (x1, y1, x2, y2, x3, y3) in enumerate(rows):
             try:
-                t = Triangle(get((x1, y1)) or point(x1, y1), get((x2, y2)) or point(x2, y2),
-                             get((x3, y3)) or point(x3, y3))
+                tiles.append(Triangle(get((x1, y1)) or point(x1, y1), get((x2, y2)) or point(x2, y2),
+                                      get((x3, y3)) or point(x3, y3)))
             except ValueError:
                 raise DegenerateRow(i) from None
-            grid_tiles.append(t)
-            tiles.append(Triangle.normalized(rational[id(t.a)], rational[id(t.b)], rational[id(t.c)]))
         grid_region = None if region is None else tuple(
             get(xy) or point(*xy) for xy in zip(region[::2], region[1::2]))
-        patch = cls(tuple(tiles), None if region is None else tuple(rational[id(p)] for p in grid_region),
-                    tuple(metadata))
-        patch.__dict__["grid"] = Grid(scale, tuple(grid_tiles), grid_region)
-        return patch
+        return cls.wrap(Grid(scale // g, tuple(tiles), grid_region), metadata)
+
+    @cached_property
+    def tiles(self) -> tuple[Triangle, ...]:
+        """The rational tiles, one point per distinct grid point."""
+        points = {p: self.grid.point(p) for t in self.grid.tiles for p in t.vertices}
+        return tuple(Triangle(*map(points.__getitem__, t.vertices)) for t in self.grid.tiles)
+
+    @cached_property
+    def region(self) -> tuple[Point, ...] | None:
+        return None if self.grid.region is None else tuple(map(self.grid.point, self.grid.region))
 
     @cached_property
     def grid(self) -> Grid:
-        """The patch on its integer grid.  `from_grid` hands over the grid it
-        built; a patch built from rationals in code gets one on first use,
-        by `to_grid` and `from_grid`."""
+        """The patch on its integer grid.  A patch built from rationals in
+        code gets one on first use, by `to_grid` and `from_grid`."""
         pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
         scale, ints = to_grid(*(c for p in pts for c in (p.x, p.y)))
         n = 6 * len(self.tiles)
@@ -148,11 +157,11 @@ class TilingPatch:
 
 @dataclass(frozen=True)
 class Grid:
-    """A patch's tiles and region times `scale`, a common denominator: the
-    least one for parsed, generated and `apply_affine` patches; a disk piece
-    keeps its ambient's.  Every coordinate is an int, and tile i side s is
-    still tile i side s.  A grid point p stands for p / scale, a squared
-    grid length n for n / scale**2.  Each tile side is squared once, into
+    """A patch as it is held: its tiles and region times `scale`, a common
+    denominator, the least one but for a disk piece, which keeps its
+    ambient's.  Every coordinate is an int; tile i side s is still tile i
+    side s.  Grid point p stands for ``point(p)`` = p / scale, a squared
+    grid length n for n / scale**2.  Each side is squared once, into
     ``side_squares``, and each square q rooted once, by ``bounds``, into
     ``roots``: q -> the floor and ceiling of sqrt(q) * 2**START_BITS."""
 
@@ -267,26 +276,26 @@ def parse_tiling(data: bytes | str) -> TilingPatch:
 
 
 def serialize_tiling(patch: TilingPatch) -> bytes:
-    """Canonical TILING/1 text; parse(serialize(p)) == p, so metadata that
-    would not read back equal raises ValueError."""
+    """Canonical TILING/1 text, written from the grid's ints;
+    parse(serialize(p)) == p, so metadata that would not read back equal
+    raises ValueError."""
     bad = [(k, v) for k, v in patch.metadata
            if k.split() != [k] or "#" in k + v or "\n" in v or v != v.strip()]
     if bad:
         raise ValueError("metadata would not read back equal: " + ", ".join(map(repr, bad)))
-    # keyed by identity, as hashing a Fraction costs more than formatting it;
-    # `from_grid` shares one Fraction per distinct value
-    text: dict[int, str] = {}
+    grid = patch.grid
+    text: dict[int, str] = {}  # one text per distinct int coordinate
 
     def coords(points: Iterable[Point]) -> str:
-        return " ".join([text.get(id(q)) or text.setdefault(id(q), format_rational(q))
-                         for p in points for q in (p.x, p.y)])
+        return " ".join([text.get(c) or text.setdefault(c, format_rational(Fraction(c, grid.scale)))
+                         for p in points for c in (p.x, p.y)])
 
     out = [MAGIC]
-    if patch.region is not None:
-        out.append(f"region {len(patch.region)} {coords(patch.region)}")
+    if grid.region is not None:
+        out.append(f"region {len(grid.region)} {coords(grid.region)}")
     for key, value in patch.metadata:
         out.append(f"meta {key} {value}".rstrip())
-    for t in patch.tiles:
+    for t in grid.tiles:
         out.append(f"tri {coords(t.vertices)}")
     return ("\n".join(out) + "\n").encode("utf-8")
 
@@ -319,9 +328,9 @@ def side_length_range(patch: TilingPatch, precision_bits: int = 64) -> tuple[Int
     Min/max are selected exactly on squared lengths; only the final square
     roots are enclosed.
     """
-    if not patch.tiles:
-        raise ValueError("empty patch")
     grid = patch.grid
+    if not grid.tiles:
+        raise ValueError("empty patch")
     lo_sq, hi_sq = min(map(min, grid.side_squares)), max(map(max, grid.side_squares))
 
     def enclose(s: int) -> Interval:

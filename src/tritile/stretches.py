@@ -77,6 +77,11 @@ class Stretch:
                 f"class={self.klass.value} decks=[{above}]/[{below}]")
 
 
+class SharedSide(tuple):
+    """A side two tiles share whole, as (t1, t2, seg), tile ids ascending and
+    the side's rational ends; ``refs`` are its two soup records, in tile order."""
+
+
 def _deck_item(edge: AtomicEdge, sign: int) -> SideRef:
     """The soup's side over `edge` on the `sign` side of its line, else the outside."""
     for ref in edge.incidences:
@@ -85,11 +90,11 @@ def _deck_item(edge: AtomicEdge, sign: int) -> SideRef:
     return SideRef(None, None, edge.a, edge.b, edge.lo, edge.hi, sign)
 
 
-def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[int, int, tuple[Point, Point]]]]:
+def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[SharedSide]]:
     """All stretches of the patch, plus the shared full sides found on the
     way (which, by definition, belong to no stretch)."""
     stretches: list[Stretch] = []
-    shared: list[tuple[int, int, tuple[Point, Point]]] = []
+    shared: list[SharedSide] = []
     grid = g.patch.grid
 
     for key, edges in g.soup.lines.items():
@@ -108,9 +113,10 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
             if len(pa) == 1 and len(pb) == 1:
                 # identical decompositions: shared side or full boundary side
                 if pa[0].is_side and pb[0].is_side:
-                    t1, t2 = pa[0].side[0], pb[0].side[0]
-                    shared.append((min(t1, t2), max(t1, t2),
-                                   (grid.point(pa[0].a), grid.point(pa[0].b))))
+                    r1, r2 = sorted((pa[0], pb[0]))
+                    side = SharedSide((r1.tile, r2.tile, (grid.point(r1.a), grid.point(r1.b))))
+                    side.refs = (r1, r2)
+                    shared.append(side)
                 continue
             n_sides = sum(1 for i in pa + pb if i.is_side)
             if n_sides < len(pa) + len(pb):
@@ -124,7 +130,7 @@ def decompose_stretches(g: IncidenceGraph) -> tuple[list[Stretch], list[tuple[in
     return stretches, sorted(shared, key=lambda s: (s[0], s[1]))
 
 
-def shared_side_pairs(g: IncidenceGraph) -> list[tuple[int, int, tuple[Point, Point]]]:
+def shared_side_pairs(g: IncidenceGraph) -> list[SharedSide]:
     """Unordered tile pairs with an identical full side (cached on the graph)."""
     return g.decomposition[1]
 
@@ -204,9 +210,9 @@ def min_margin(patch: TilingPatch) -> tuple[LengthExpr, tuple[int, int, int]]:
     (-4 + sqrt(20) and -4 + 2*sqrt(5)), which the exact difference finds
     equal.
     """
-    if not patch.tiles:
-        raise ValueError("empty patch")
     grid = patch.grid
+    if not grid.tiles:
+        raise ValueError("empty patch")
     shapes = dict.fromkeys(tuple(sorted(sqs)) for sqs in grid.side_squares)
     bounds = {(s1, s2, s3): grid.bounds(((s1, 1), (s2, 1), (s3, -1))) for s1, s2, s3 in shapes}
     cut = min(hi for _, hi in bounds.values())
@@ -393,15 +399,11 @@ def composite_sides(g: IncidenceGraph) -> list[tuple[int, int, tuple[tuple[int, 
         for deck, other in ((st.above, st.below), (st.below, st.above)):
             if len(deck) == 1:
                 result.append((*deck[0].side, tuple(i.side for i in other)))
-    for t1, t2, seg in shared:
-        s1, s2 = _side_index(g, t1, seg), _side_index(g, t2, seg)
+    for side in shared:
+        (t1, s1), (t2, s2) = (ref.side for ref in side.refs)
         result.append((t1, s1, ((t2, s2),)))
         result.append((t2, s2, ((t1, s1),)))
     return sorted(result)
-
-
-def _side_index(g: IncidenceGraph, tile: int, seg: tuple[Point, Point]) -> int:
-    return next(s for s, side in enumerate(g.tiles[tile].sides()) if set(side) == set(seg))
 
 
 def composite_hop_distances(g: IncidenceGraph) -> list[int | None]:

@@ -30,9 +30,9 @@ def _fmt(x: float) -> str:
 def render_svg(patch: TilingPatch, *, width_px: int = 800,
                stretch_overlay: bool = False,
                label_long_short: bool = False) -> bytes:
-    if not patch.tiles:
-        raise ValueError("empty patch")
     tiles = patch.grid.tiles
+    if not tiles:
+        raise ValueError("empty patch")
     xs = [p.x for t in tiles for p in t.vertices]
     ys = [p.y for t in tiles for p in t.vertices]
     min_x, max_x = min(xs), max(xs)

@@ -260,9 +260,9 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
     violations found, each point in them divided back by ``grid.point``,
     and a valid patch's incidence graph."""
     violations: list[Violation] = []
-    if not patch.tiles:
-        return ValidationReport(False, [Violation(EMPTY, (), "patch has no tiles")], None)
     grid = patch.grid
+    if not grid.tiles:
+        return ValidationReport(False, [Violation(EMPTY, (), "patch has no tiles")], None)
     pt = grid.point
 
     # the stated region in canonical form, if it is a valid polygon

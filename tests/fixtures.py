@@ -51,7 +51,7 @@ def region_area(patch: TilingPatch) -> Fraction | None:
 def lcm_grid(patch: TilingPatch) -> Grid:
     """The patch's grid computed from its rational points alone, with no
     `from_grid`: each point times the lcm of the denominators, each tile
-    kept in the order it has."""
+    in the order it has (`Triangle` keeps it, as scaling does not change it)."""
     pts = [p for t in patch.tiles for p in t.vertices] + list(patch.region or ())
     scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
 
@@ -59,7 +59,7 @@ def lcm_grid(patch: TilingPatch) -> Grid:
         return Point(p.x.numerator * (scale // p.x.denominator),
                      p.y.numerator * (scale // p.y.denominator))
 
-    return Grid(scale, tuple(Triangle.normalized(*map(up, t.vertices)) for t in patch.tiles),
+    return Grid(scale, tuple(Triangle(*map(up, t.vertices)) for t in patch.tiles),
                 None if patch.region is None else tuple(map(up, patch.region)))
 
 

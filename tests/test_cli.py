@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tritile import (Point, RecursiveSplitSpec, TwoScaleSpec, build_incidence,
+from tritile import (Point, RecursiveSplitSpec, Triangle, TwoScaleSpec, build_incidence,
                      gen_recursive_split, gen_two_scale_periodic, validate_patch)
 from tritile.cli import main
 from tritile.model import parse_tiling
@@ -414,6 +414,39 @@ class TestAnalysedOnce:
         code, _, _ = run(["generate", "twoscale", "--m", "2", "--n", "2",
                           "-o", str(tmp_path / "t.til")], tmp_path)
         assert code == 0 and len(validations) == 1
+
+
+class TestGridOnly:
+    """Every command runs on the patch's grid alone and builds no rational
+    `Triangle`.  A property over the `a` slot sees every triangle built,
+    since each construction writes that slot, through `__init__` or not."""
+
+    @pytest.fixture
+    def rational(self, monkeypatch):
+        built = set()  # ids of the triangles given a vertex with non-int coordinates
+        slot = Triangle.__dict__["a"]
+
+        def put(t, p):
+            if type(p.x) is not int:
+                built.add(id(t))
+            slot.__set__(t, p)
+
+        monkeypatch.setattr(Triangle, "a", property(slot.__get__, put))
+        return built
+
+    @pytest.mark.parametrize("family, disk", [
+        (["twoscale", "--b", "2", "--h", "433/250", "--m", "3", "--n", "3"], "3,5/2,1"),
+        (["recursive", "--t", "5/3", "--depth", "6"], "0,0,1"),
+    ], ids=["twoscale", "recursive"])
+    def test_commands_build_none(self, rational, tmp_path, family, disk):
+        path, svg = str(tmp_path / "t.til"), str(tmp_path / "t.svg")
+        for argv in (["generate", *family, "-o", path], ["validate", path], ["audit", path],
+                     ["audit", path, "--disk", disk], ["stretches", path], ["stats", path],
+                     ["render", path, "-o", svg, "--stretch-overlay", "--labels"]):
+            code, _, err = run(argv, tmp_path)
+            assert (code, err, rational) == (0, "", set()), argv
+        # the hook sees the rational tiles a patch derives when they are read
+        assert parse_tiling(Path(path).read_bytes()).tiles and rational
 
 
 GOLDEN_TIL = str(Path(__file__).parent / "golden" / "recursive-4.til")

@@ -376,8 +376,9 @@ class TestExtraction:
 
 
 class TestPieceSharesItsAmbient:
-    """The disk piece is a selection of its ambient: the ambient's tile and
-    grid tile objects, on the ambient grid's scale, with no new grid."""
+    """The disk piece is a selection of its ambient: the ambient's grid tile
+    objects, on the ambient grid's scale, with no new grid, so its rational
+    tiles equal the ambient's."""
 
     CASES = {
         "twoscale": (lambda: two_scale(4, 4), P(3, 2), F(1)),
@@ -396,9 +397,12 @@ class TestPieceSharesItsAmbient:
         res = extract_disk_patch(ambient, center, r_sq)
         piece, ids = res.patch, res.tiles
         assert len(piece.tiles) == len(piece.grid.tiles) == len(ids)
-        assert all(t is ambient.tiles[i] for t, i in zip(piece.tiles, ids))
+        assert piece.tiles == tuple(ambient.tiles[i] for i in ids)
         assert all(t is ambient.grid.tiles[i] for t, i in zip(piece.grid.tiles, ids))
         assert piece.grid.scale == ambient.grid.scale
+        # equality reads tiles, region and metadata, whatever the grid scale
+        same = TilingPatch(piece.tiles, piece.region, piece.metadata)
+        assert same == piece and hash(same) == hash(piece)
         # the same tiles on their least grid give the same audit
         plain = TilingPatch(piece.tiles)
         assert plain.grid == fixtures.lcm_grid(plain)
