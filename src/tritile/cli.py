@@ -9,6 +9,7 @@ one line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from collections.abc import Sequence
@@ -279,6 +280,10 @@ def _joined_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command's objects live until it returns, so collector passes during it
+    # free next to nothing: it pauses the collector, then restores the caller's state.
+    collecting = gc.isenabled()
+    gc.disable()
     # TILING/1 numbers have no length limit, so the command lifts CPython's
     # int<->str digit limit (3.10.7 and later) and then restores the caller's.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -298,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -26,15 +26,14 @@ later layers derive (stretches, labels, eps2), so every audit takes just
 the graph.
 
 Every point, position and line key in the soup and the graph is a grid
-value; only the graph's ``region`` is rational (``outline`` is its grid form).
+value; only the graph's ``region``, derived from its ``outline`` when read, is rational.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import Point, Triangle
@@ -63,17 +62,6 @@ def line_through(p: Point, q: Point) -> LineKey:
 def line_pos(key: LineKey, p: Point) -> int:
     """Monotone position of a grid point along the line (X, or Y if vertical)."""
     return p.y if key[1] == 0 else p.x
-
-
-def _line_order(keys) -> list[LineKey]:
-    """The keys in the order of their rational forms (0, 1, C) and
-    (1, B/A, C/A): by slope, compared exactly once per direction, then C."""
-    def by_slope(u, v):
-        d = u[1] * v[0] - v[1] * u[0]   # B/A of u minus B/A of v, times both A
-        return (u[0] > 0) - (v[0] > 0) or (d > 0) - (d < 0)
-
-    rank = {d: i for i, d in enumerate(sorted({k[:2] for k in keys}, key=cmp_to_key(by_slope)))}
-    return sorted(keys, key=lambda k: (rank[k[:2]], k[2]))
 
 
 class SideRef(NamedTuple):
@@ -117,7 +105,7 @@ class AtomicEdge:
 @dataclass
 class EdgeSoup:
     corner_tiles: dict[Point, list[int]]
-    lines: dict[LineKey, list[AtomicEdge]]  # in _line_order, edges by position
+    lines: dict[LineKey, list[AtomicEdge]]  # in line order, edges by position
     edges: list[AtomicEdge]
     # vertex -> sides whose relative interior contains it
     vertex_subdivides: dict[Point, list[tuple[int, int]]]
@@ -132,48 +120,52 @@ class EdgeSoup:
 
 
 def build_soup(tiles: tuple[Triangle, ...]) -> EdgeSoup:
-    """The edge soup of the tiles of a patch's grid."""
+    """The edge soup of the tiles of a patch's grid.  Side p->q gets
+    `line_through`'s key, cut by a gcd g; its tile is counterclockwise, so
+    the apex lies on the side of sign -g.  Lines come in the order of their
+    rational forms (0, 1, C) and (1, B/A, C/A): with 2**K > (largest A)**2,
+    distinct slopes B/A have distinct floors of B * 2**K / A.  Each line is
+    split in one pass over its sorted side endpoints."""
     corner_tiles: dict[Point, list[int]] = {}
-    for i, t in enumerate(tiles):
-        for p in t.vertices:
-            corner_tiles.setdefault(p, []).append(i)
-
     sides: dict[LineKey, list[SideRef]] = {}
+    gcd, new = math.gcd, tuple.__new__  # SideRef(...) would run a Python-level __new__
     for i, t in enumerate(tiles):
-        verts = t.vertices
-        for s in range(3):
-            p, q, r = verts[s], verts[(s + 1) % 3], verts[(s + 2) % 3]
-            key = line_through(p, q)
-            on_line = sides.setdefault(key, [])
-            sgn = 1 if key[0] * r.x + key[1] * r.y + key[2] > 0 else -1
-            kp, kq = line_pos(key, p), line_pos(key, q)
-            if kp <= kq:
-                on_line.append(SideRef(i, s, p, q, kp, kq, sgn))
-            else:
-                on_line.append(SideRef(i, s, q, p, kq, kp, sgn))
+        a, b, c = verts = t.vertices
+        for p in verts:
+            corner_tiles.setdefault(p, []).append(i)
+        for s, p, q in ((0, a, b), (1, b, c), (2, c, a)):
+            dy, dx = q.y - p.y, p.x - q.x
+            g = gcd(dy, dx) if dy > 0 or (dy == 0 and dx > 0) else -gcd(dy, dx)
+            dy, dx = dy // g, dx // g
+            key = (dy, dx, -(dy * p.x + dx * p.y))
+            kp, kq = (p.x, q.x) if dx else (p.y, q.y)
+            sgn = -1 if g > 0 else 1
+            sides.setdefault(key, []).append(new(SideRef, (i, s, p, q, kp, kq, sgn) if kp <= kq
+                                                 else (i, s, q, p, kq, kp, sgn)))
 
+    shift = 2 * max(sides, default=(0,))[0].bit_length()  # K, from the largest A
     lines: dict[LineKey, list[AtomicEdge]] = {}
     vertex_subdivides: dict[Point, list[tuple[int, int]]] = {}
-    for key in _line_order(sides):
+    for key in sorted(sides, key=lambda k: (k[0] > 0, (k[1] << shift) // k[0] if k[0] else 0, k[2])):
+        refs = sides[key]
         pts: dict[int, Point] = {}
-        for ref in sides[key]:
+        for ref in refs:
             pts[ref.lo] = ref.a
             pts[ref.hi] = ref.b
         positions = sorted(pts)
-        edge_map: dict[tuple[int, int], AtomicEdge] = {}
-        for ref in sides[key]:
-            i0 = bisect_right(positions, ref.lo)
-            i1 = bisect_left(positions, ref.hi)
-            cuts = positions[i0:i1]
-            for c in cuts:
-                vertex_subdivides.setdefault(pts[c], []).append((ref.tile, ref.index))
-            seq = [ref.lo, *cuts, ref.hi]
-            for u, w in zip(seq, seq[1:]):
-                edge = edge_map.get((u, w))
+        index = {u: j for j, u in enumerate(positions)}
+        slots: list[AtomicEdge | None] = [None] * (len(positions) - 1)
+        for ref in refs:
+            i0, i1 = index[ref.lo], index[ref.hi]
+            for j in range(i0 + 1, i1):
+                vertex_subdivides.setdefault(pts[positions[j]], []).append((ref.tile, ref.index))
+            for j in range(i0, i1):
+                edge = slots[j]
                 if edge is None:
-                    edge = edge_map[(u, w)] = AtomicEdge(pts[u], pts[w], key, u, w, [])
+                    u, w = positions[j], positions[j + 1]
+                    edge = slots[j] = AtomicEdge(pts[u], pts[w], key, u, w, [])
                 edge.incidences.append(ref)
-        lines[key] = [edge_map[k] for k in sorted(edge_map)]
+        lines[key] = [e for e in slots if e is not None]
 
     edges = [e for on_line in lines.values() for e in on_line]
     return EdgeSoup(corner_tiles, lines, edges, vertex_subdivides)
@@ -185,10 +177,14 @@ class IncidenceGraph:
 
     patch: TilingPatch
     soup: EdgeSoup
-    region: tuple[Point, ...]            # derived boundary polygon (CCW)
-    outline: tuple[Point, ...]           # the same polygon on the grid
+    outline: tuple[Point, ...]           # derived boundary polygon (CCW), on the grid
     boundary_edges: list[AtomicEdge]     # full and partial, in soup order
     boundary_vertices: set[Point]
+
+    @cached_property
+    def region(self) -> tuple[Point, ...]:
+        """The outline, rational."""
+        return tuple(map(self.patch.grid.point, self.outline))
 
     @property
     def t(self) -> int:
@@ -218,7 +214,7 @@ class IncidenceGraph:
     def v_star(self) -> int:
         return len(self.soup.vertex_subdivides)
 
-    @property
+    @cached_property
     def v_star_int(self) -> int:
         return sum(1 for p in self.soup.vertex_subdivides
                    if p not in self.boundary_vertices)

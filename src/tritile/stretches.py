@@ -177,7 +177,7 @@ def no_shared_side_conditions(g: IncidenceGraph) -> AuditRecord:
     triangle: corner-only boundary vertices, every interior vertex
     subdividing, and every stretch tight."""
     rec = AuditRecord("share-free-triangle-conditions")
-    if len(g.region) != 3:
+    if len(g.outline) != 3:
         rec.not_applicable("conditions", "region is not a triangle")
         return rec
     if shared_side_pairs(g):

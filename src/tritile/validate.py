@@ -22,10 +22,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import Point, cross, point_on_segment_interior, twice_area
 from .incidence import AtomicEdge, EdgeSoup, IncidenceGraph, build_soup, line_through, line_pos
-from .model import TilingPatch
+from .model import Grid, TilingPatch
 
 OVERLAP = "OVERLAP"
 UNMATCHED_EDGE = "UNMATCHED_EDGE"
@@ -54,16 +55,27 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: list[Violation]
-    derived_region: tuple[Point, ...] | None
+    outline: tuple[Point, ...] | None    # the derived boundary polygon, on the grid
+    grid: Grid | None = field(default=None, repr=False)
     # a valid patch's incidence graph, on the soup the checks ran on
-    graph: IncidenceGraph | None = field(default=None, repr=False, compare=False)
+    graph: IncidenceGraph | None = field(default=None, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ValidationReport) and (
+            (self.ok, self.violations, self.derived_region)
+            == (other.ok, other.violations, other.derived_region))
+
+    @cached_property
+    def derived_region(self) -> tuple[Point, ...] | None:
+        """The derived boundary polygon (CCW), rational, made on first read."""
+        return None if self.outline is None else tuple(map(self.grid.point, self.outline))
 
     def render(self) -> str:
         lines = [f"valid = {'yes' if self.ok else 'no'}"]
         for v in self.violations:
             lines.append(f"violation: {v.describe()}")
-        if self.derived_region is not None:
-            lines.append(f"boundary_vertices = {len(self.derived_region)}")
+        if self.outline is not None:
+            lines.append(f"boundary_vertices = {len(self.outline)}")
         return "\n".join(lines) + "\n"
 
 
@@ -344,10 +356,9 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
             violations.append(Violation(
                 REGION_MISMATCH, (), "derived boundary differs from region"))
 
-    derived = None if outline is None else tuple(map(pt, outline))
     graph = None if violations else IncidenceGraph(
-        patch, soup, derived, outline, boundary, {p for e in boundary for p in (e.a, e.b)})
-    return ValidationReport(not violations, violations, derived, graph)
+        patch, soup, outline, boundary, {p for e in boundary for p in (e.a, e.b)})
+    return ValidationReport(not violations, violations, outline, grid, graph)
 
 
 def _geometric_boundary_checks(boundary: list[AtomicEdge], soup: EdgeSoup, pt

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -366,6 +367,68 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: RuntimeError: broken invariant\n"
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+def collector(request):
+    """The cyclic collector enabled or disabled, as a caller of main left
+    it; the test runner's state again afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCyclicCollector:
+    """Each command runs with the cyclic collector paused, then leaves it
+    as its caller had it, whatever the exit."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    def test_no_collection_during_a_command(self, tmp_path):
+        assert gc.isenabled()
+        passes = []
+
+        def record(phase, info):
+            """Count the passes that start with a tritile frame on the stack."""
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_globals.get("__name__", "").startswith("tritile"):
+                    passes.append(info["generation"])
+                    break
+                frame = frame.f_back
+
+        gc.callbacks.append(record)
+        try:
+            code, _, _ = run(["audit", str(self.GOLDEN / "twoscale-2.til"), "--disk", "2,3/2,1"],
+                             tmp_path)
+        finally:
+            gc.callbacks.remove(record)
+        assert code == 0 and passes == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["audit", "twoscale-2.til", "--disk", "2,3/2,1"], 0),
+        (["validate", "invalid-bowtie.til"], 1),
+        (["audit"], 2),       # a usage error: argparse's SystemExit
+        (["--help"], 0),      # SystemExit too
+    ], ids=["exit-0", "exit-1", "usage", "help"])
+    def test_callers_state_restored(self, argv, code, collector, tmp_path):
+        argv = [str(self.GOLDEN / a) if a.endswith(".til") else a for a in argv]
+        try:
+            got = run(argv, tmp_path)[0]
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code and gc.isenabled() == collector
+
+    def test_callers_state_restored_after_internal_error(self, collector, tmp_path, monkeypatch):
+        import tritile.cli
+
+        def boom(args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setitem(tritile.cli._COMMANDS, "audit", boom)
+        assert run(["audit", "unused.til"], tmp_path)[0] == 3
+        assert gc.isenabled() == collector
 
 
 class TestAnalysedOnce:

@@ -9,7 +9,8 @@ import pytest
 from tritile import (Point, RecursiveSplitSpec, TilingPatch, Triangle, TwoScaleSpec,
                      apply_affine, build_incidence, convex_polygon_on_circle,
                      gen_convex_triangulation, gen_recursive_split, gen_two_scale_periodic,
-                     graph_audit, parse_tiling, point_on_segment_interior)
+                     graph_audit, parse_tiling, point_on_segment_interior,
+                     serialize_tiling)
 from tritile.incidence import build_soup
 
 import fixtures
@@ -334,6 +335,14 @@ def grid_soup_in_rationals(patch: TilingPatch):
             {pt(p): sides for p, sides in soup.vertex_subdivides.items()})
 
 
+def _shuffled(patch: TilingPatch, name: str) -> TilingPatch:
+    """The patch with its tri lines shuffled, as the benchmark applies seed 1."""
+    lines = serialize_tiling(patch).decode().splitlines()
+    tiles = [line for line in lines if line.startswith("tri ")]
+    random.Random(f"{name}:1").shuffle(tiles)
+    return parse_tiling("\n".join([line for line in lines if not line.startswith("tri ")] + tiles))
+
+
 def _grid_corpus():
     from test_random_patches import random_refined_patch
     corpus = [parse_tiling(path.read_bytes()) for path in sorted(GOLDEN.glob("*.til"))]
@@ -341,15 +350,21 @@ def _grid_corpus():
                                    fixtures.notched_split, fixtures.offset_quad,
                                    fixtures.bowtie, fixtures.annulus)]
     corpus += [random_refined_patch(seed) for seed in range(50)]
+    corpus += [_shuffled(gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 6, 6)), "twoscale-6"),
+               _shuffled(gen_recursive_split(RecursiveSplitSpec(
+                   (P(0, 0), P(1, 0), P(0, 1)), F(2), 100)), "recursive-100")]
     return corpus
 
 
 def test_grid_soup_matches_rational_oracle():
+    from test_metamorphic import ISOMETRIES
     rng = random.Random(7)
     shrink = ((F(1, 7), F(0)), (F(0), F(1, 7)))
     for patch in _grid_corpus():
         tiles = list(patch.tiles)
         rng.shuffle(tiles)
         for variant in (patch, TilingPatch(tuple(tiles), patch.region),
-                        apply_affine(patch, shrink, (F(1, 3), F(-2, 5)))):
+                        apply_affine(patch, shrink, (F(1, 3), F(-2, 5))),
+                        *(apply_affine(patch, *ISOMETRIES[move])
+                          for move in ("quarter-turn", "rotation-3-4-5", "reflection"))):
             assert grid_soup_in_rationals(variant) == rational_soup(variant.tiles)
