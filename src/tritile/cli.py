@@ -63,10 +63,8 @@ def _load(path: str) -> TilingPatch:
 def _cmd_generate(args) -> int:
     if args.family == "recursive":
         coords = _rationals(args.base, 6)
-        spec = RecursiveSplitSpec(
-            (Point(coords[0], coords[1]), Point(coords[2], coords[3]),
-             Point(coords[4], coords[5])),
-            parse_rational(args.t), args.depth)
+        spec = RecursiveSplitSpec(tuple(map(Point, coords[::2], coords[1::2])),
+                                  parse_rational(args.t), args.depth)
         patch = gen_recursive_split(spec)
     elif args.family == "twoscale":
         patch = gen_two_scale_periodic(TwoScaleSpec(
@@ -77,9 +75,7 @@ def _cmd_generate(args) -> int:
         patch = gen_convex_triangulation(poly, args.strategy, args.seed)
     else:
         coords = _rationals(args.triangle, 6)
-        tri = Triangle(Point(coords[0], coords[1]), Point(coords[2], coords[3]),
-                       Point(coords[4], coords[5]))
-        patch = gen_reflected_pair(tri, args.kind)
+        patch = gen_reflected_pair(Triangle(*map(Point, coords[::2], coords[1::2])), args.kind)
     with open(args.output, "wb") as fh:
         fh.write(serialize_tiling(patch))
     print(f"wrote {len(patch)} tiles to {args.output}")
@@ -120,11 +116,12 @@ def _cmd_audit(args) -> int:
     if args.disk:
         cx, cy, r_sq = _rationals(args.disk, 3)
         extraction = extract_disk_patch(patch, Point(cx, cy), r_sq)
+        piece = build_incidence(extraction.patch)
         info = AuditRecord("extraction")
         info.info("selected_t", len(extraction.tiles))
         info.info("ring_t", len(extraction.ring))
-        info.info("e_full", extraction.e_full)
-        info.info("e_part", extraction.e_part)
+        info.info("e_full", piece.e_full)
+        info.info("e_part", piece.e_part)
         info.info("coverage_certificate", extraction.coverage_certificate)
         records.append(info)
         records.append(asymptotic_audit(

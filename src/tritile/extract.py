@@ -93,8 +93,8 @@ def fill_holes(ambient: TilingPatch, selected: set[int]) -> tuple[TilingPatch, l
     RegionError (a ValueError) unless the piece is one simple polygon, with
     kind DISCONNECTED when it falls apart into parts with no common point,
     pinched or not, and NOT_SIMPLE when it is one pinched piece.
-    ``build_incidence(piece)`` reuses the report, and its ``region`` is
-    the piece's boundary.
+    ``build_incidence(piece)`` reuses the report, whose ``derived_region``
+    is the piece's boundary.
     """
     if not selected:
         raise ValueError("empty selection")
@@ -136,8 +136,6 @@ class ExtractionResult:
     center: Point
     r_sq: Fraction
     coverage_certificate: bool
-    e_full: int
-    e_part: int
 
 
 def _disk_plus_one_covered(graph: IncidenceGraph, center: Point, r_sq: Fraction) -> bool:
@@ -167,10 +165,8 @@ def extract_disk_patch(ambient: TilingPatch, center: Point, r_sq: Fraction) -> E
         raise ValueError("disk does not meet the patch")
     patch, tiles = fill_holes(ambient, selected)
     ring = boundary_ring(ambient, tiles)
-    sub = build_incidence(patch)
     return ExtractionResult(patch, tiles, ring, center, r_sq,
-                            _disk_plus_one_covered(graph, center, r_sq),
-                            sub.e_full, sub.e_part)
+                            _disk_plus_one_covered(graph, center, r_sq))
 
 
 def asymptotic_audit(patch: TilingPatch, ring: list[int], *, unit_perimeter: bool = False,

@@ -4,8 +4,9 @@ Every generator self-validates its output, once, and raises
 :class:`GeneratorError` instead of returning a broken patch.  The
 recursive split and the two-scale pattern count on an integer lattice and
 hand its int rows to :meth:`TilingPatch.from_grid`, so no `Fraction` is
-built per point; the convex and pair families hand it their few rational
-points put on the grid by `to_grid`.  Seeded draws read only `random()`.
+built per point; the convex family hands it its vertices put on the grid
+by `to_grid`, and the pair family builds a patch from its two rational
+triangles.  Seeded draws read only `random()`.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def gen_recursive_split(spec: RecursiveSplitSpec) -> TilingPatch:
     the base's common denominator times q**depth, so every step
     (v_i - v_{i+1}) * p / q is an exact int division."""
     p, q = spec.t.numerator, spec.t.denominator
-    scale, ints = to_grid(*(c for v in spec.base for c in (v.x, v.y)))
+    scale, ints = to_grid(*(c for v in spec.base for c in v))
     scale, ints = scale * q ** spec.depth, [c * q ** spec.depth for c in ints]
     level = list(zip(ints[::2], ints[1::2]))
     rows = [[c for v in level for c in v]]
@@ -196,7 +197,7 @@ def gen_convex_triangulation(vertices: tuple[Point, ...],
     else:
         raise GeneratorError(f"unknown strategy {strategy!r}")
 
-    scale, ints = to_grid(*(c for v in vertices for c in (v.x, v.y)))
+    scale, ints = to_grid(*(c for v in vertices for c in v))
     rows = [[ints[c] for i in triple for c in (2 * i, 2 * i + 1)] for triple in triples]
     meta = (("generator", "convex"), ("k", str(k)),
             ("strategy", strategy), ("seed", str(seed)))
@@ -227,8 +228,7 @@ def gen_reflected_pair(t: Triangle, kind: str) -> TilingPatch:
     if zp == z:
         # isoceles apex fixed by the bisector: the pair degenerates
         meta += (("degenerate", "identity"),)
-    scale, ints = to_grid(*(c for p in (x, y, z, zp) for c in (p.x, p.y)))
-    patch = TilingPatch.from_grid(scale, [ints[:6], ints[:4] + ints[6:]], None, meta)
+    patch = TilingPatch((t, Triangle(x, y, zp)), None, meta)
     if kind in ("line", "midpoint"):
         return _self_validate(patch, "reflected pair")
     return patch

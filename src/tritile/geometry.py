@@ -1,7 +1,7 @@
 """Exact geometric primitives on rational or integer coordinates.
 
 All predicates are decided by integer/rational arithmetic; there are no
-epsilon tolerances anywhere.  Points compare by exact field equality.
+epsilon tolerances anywhere.  A point is its exact coordinate pair.
 Every primitive also takes points with int coordinates and stays on ints
 (a patch's analysis runs on its :class:`tritile.model.Grid`); a quotient,
 where one is needed, is an exact ``Fraction``, never a float.
@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .radicals import LengthExpr
 
@@ -44,8 +45,10 @@ class Orientation(Enum):
     CCW = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(NamedTuple):
+    """A point is its coordinate pair: equality, hash and order are the
+    tuple's, and ``+``, ``-`` and ``scale`` are vector operations."""
+
     x: Fraction
     y: Fraction
 
@@ -61,10 +64,6 @@ class Point:
 
     def scale(self, k: Fraction) -> "Point":
         return Point(self.x * k, self.y * k)
-
-    def key(self) -> tuple[Fraction, Fraction]:
-        """Lexicographic sort key."""
-        return (self.x, self.y)
 
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -132,8 +131,7 @@ class Triangle:
         if turn == 0:
             raise ValueError(f"degenerate triangle {self.a} {self.b} {self.c}")
         pts = [self.a, self.b, self.c] if turn > 0 else [self.a, self.c, self.b]
-        keys = [p.key() for p in pts]
-        start = keys.index(min(keys))
+        start = pts.index(min(pts))
         pts = pts[start:] + pts[:start]
         object.__setattr__(self, "a", pts[0])
         object.__setattr__(self, "b", pts[1])

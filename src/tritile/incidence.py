@@ -26,7 +26,7 @@ later layers derive (stretches, labels, eps2), so every audit takes just
 the graph.
 
 Every point, position and line key in the soup and the graph is a grid
-value; only the graph's ``region``, derived from its ``outline`` when read, is rational.
+value; the rational outline is the validator's ``derived_region``.
 """
 
 from __future__ import annotations
@@ -180,11 +180,6 @@ class IncidenceGraph:
     outline: tuple[Point, ...]           # derived boundary polygon (CCW), on the grid
     boundary_edges: list[AtomicEdge]     # full and partial, in soup order
     boundary_vertices: set[Point]
-
-    @cached_property
-    def region(self) -> tuple[Point, ...]:
-        """The outline, rational."""
-        return tuple(map(self.patch.grid.point, self.outline))
 
     @property
     def t(self) -> int:

@@ -18,9 +18,9 @@ denominator D of their coordinates (:func:`to_grid`), all ints, on which
 every analysis runs.  :meth:`TilingPatch.from_grid` builds one from ints,
 putting each triangle in order once; the parser, every generator and
 :func:`apply_affine` use it, and :func:`serialize_tiling` writes the ints.
-Rational tiles and region are derived only when read; a patch built in
-code from rationals keeps them and gets its grid on first use.  A disk
-piece selects its ambient's grid tiles, on its ambient's scale.
+A patch built in code from rationals is put on its grid at construction.
+Rational tiles and region are derived from the grid only when read.  A
+disk piece selects its ambient's grid tiles, on its ambient's scale.
 """
 
 from __future__ import annotations
@@ -64,15 +64,19 @@ class TilingPatch:
     every report.  The patch itself is plain data; whether the tiles
     actually tile the region is the validator's business.  A patch is
     immutable, so its analysis is computed on first use and kept on it.
-    A patch from `from_grid` or `wrap` holds its :class:`Grid` and derives
-    its rational tiles and region on first read; one built from rationals
-    keeps them.  Equality compares tiles, region and metadata.
+    A patch holds its :class:`Grid` and metadata and derives its rational
+    tiles and region on first read; one built from rationals is put on
+    the grid at once, by `to_grid` and `from_grid`.  Equality compares
+    tiles, region and metadata.
     """
 
     def __init__(self, tiles: Iterable[Triangle], region: Iterable[Point] | None = None,
                  metadata: Iterable[tuple[str, str]] = ()):
-        self.__dict__.update(tiles=tuple(tiles), region=None if region is None else tuple(region),
-                             metadata=tuple(metadata))
+        coords = [c for t in tiles for p in t.vertices for c in p]
+        n = len(coords)
+        scale, ints = to_grid(*coords, *(c for p in region or () for c in p))
+        self.__dict__.update(vars(self.from_grid(scale, [ints[i:i + 6] for i in range(0, n, 6)],
+                                                 None if region is None else ints[n:], metadata)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable TilingPatch")
@@ -137,16 +141,6 @@ class TilingPatch:
     @cached_property
     def region(self) -> tuple[Point, ...] | None:
         return None if self.grid.region is None else tuple(map(self.grid.point, self.grid.region))
-
-    @cached_property
-    def grid(self) -> Grid:
-        """The patch on its integer grid.  A patch built from rationals in
-        code gets one on first use, by `to_grid` and `from_grid`."""
-        pts = [p for t in self.tiles for p in t.vertices] + list(self.region or ())
-        scale, ints = to_grid(*(c for p in pts for c in (p.x, p.y)))
-        n = 6 * len(self.tiles)
-        return TilingPatch.from_grid(scale, [ints[i:i + 6] for i in range(0, n, 6)],
-                                     None if self.region is None else ints[n:]).grid
 
     @cached_property
     def validation(self) -> ValidationReport:

@@ -98,7 +98,7 @@ def canonical_polygon(poly: tuple[Point, ...]) -> tuple[Point, ...]:
     poly = elide_collinear(poly)
     if not poly:
         return poly
-    start = min(range(len(poly)), key=lambda i: poly[i].key())
+    start = poly.index(min(poly))
     return poly[start:] + poly[:start]
 
 
@@ -137,7 +137,7 @@ def _simplicity_faults(segments: list[tuple[Point, Point]]
     """Why a closed chain of segments is not a simple polygon: the triples
     (i, j, x), i < j, of segments that cross properly at x, in (i, j)
     order, and the pairs (i, p) of a segment and an endpoint inside it,
-    in (i, Point.key) order.
+    in (i, p) order.
 
     An x-ordered sweep finds both: each segment, in order of left end,
     meets only the later ones that start at or before its right end, and
@@ -165,7 +165,7 @@ def _simplicity_faults(segments: list[tuple[Point, Point]]
                 crossings.append((lo, hi, x))
     crossings.sort(key=lambda c: c[:2])
 
-    vertices = sorted({p for seg in segments for p in seg}, key=Point.key)
+    vertices = sorted({p for seg in segments for p in seg})
     xs = [p.x for p in vertices]
     contacts: list[tuple[int, Point]] = []
     for i, (a, b) in enumerate(segments):
@@ -199,14 +199,14 @@ def _walk_boundary(boundary: list[AtomicEdge], pt) -> tuple[list[list[Point]], l
 
     pinched = [Violation(NOT_SIMPLE, (),
                          f"boundary pinched at {pt(p)} (out={len(out_map[p])}, in={in_count.get(p, 0)})")
-               for p in sorted(out_map, key=Point.key)
+               for p in sorted(out_map)
                if len(out_map[p]) != 1 or in_count.get(p, 0) != 1]
     if pinched:
         return [], pinched
 
     cycles: list[list[Point]] = []
     visited: set[Point] = set()
-    for start in sorted(out_map, key=Point.key):
+    for start in sorted(out_map):
         if start in visited:
             continue
         cyc = [start]

@@ -207,7 +207,7 @@ def test_criterion_6_reflection_invariants(rng):
             assert reflection_classify(x, y, z, zp) is want
 
         if i < 40:  # ellipse oracle on a healthy subsample
-            got = sorted(equal_invariant_apexes(x, y, z), key=Point.key)
+            got = sorted(equal_invariant_apexes(x, y, z))
             oracle = ellipse_line_apexes(x, y, z)
             assert len(oracle) == len(got) == 4
             scale = max(Decimal(1), *(abs(v) for p in oracle for v in p))

@@ -6,11 +6,12 @@ import pytest
 
 from tritile import (GeneratorError, Point, RecursiveSplitSpec,
                      ReflectionKind, TilingPatch, Triangle, TwoScaleSpec,
-                     asymptotic_audit, build_incidence, congruence_check,
+                     apply_affine, asymptotic_audit, build_incidence, congruence_check,
                      convex_polygon_on_circle, derive_region, extract_disk_patch,
                      gen_convex_triangulation, gen_recursive_split, gen_reflected_pair,
-                     gen_two_scale_periodic, reflection_classify, serialize_tiling,
+                     gen_two_scale_periodic, parse_tiling, reflection_classify, serialize_tiling,
                      shared_side_pairs, validate_patch, w_audit)
+from tritile import cli
 from tritile.cli import main
 from tritile.stretches import min_margin
 
@@ -295,26 +296,25 @@ class TestLatticeGeneratorsAgainstOracles:
 
 
 class TestGridHandOver:
-    """A generated patch keeps the grid it was built on through a full
-    audit: the lcm route of ``TilingPatch.grid`` never runs, for every
-    family."""
-
-    @pytest.fixture
-    def lcm_routes(self, monkeypatch):
-        calls = []
-        prop = TilingPatch.__dict__["grid"]
-        route = prop.func
-        monkeypatch.setattr(prop, "func", lambda patch: calls.append(patch) or route(patch))
-        return calls
+    """Every patch holds its grid from the moment it is made, through a
+    full audit, its disk piece included: for every family, a parsed patch,
+    an `apply_affine` image and a patch built from rational triangles.
+    ``TilingPatch`` has no lazy route to a grid."""
 
     @pytest.mark.parametrize("family", [
         lambda: gen_recursive_split(RecursiveSplitSpec(RECURSIVE_BASES[1], F(5, 3), 6)),
         lambda: gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 3)),
         lambda: gen_convex_triangulation(convex_polygon_on_circle(7, 7), "random", 7),
         lambda: gen_reflected_pair(Triangle(P(0, 0), P(4, 0), P(1, 3)), "midpoint"),
-    ], ids=["recursive", "twoscale", "convex", "pair"])
-    def test_lcm_route_runs(self, lcm_routes, family):
+        lambda: parse_tiling(serialize_tiling(gen_two_scale_periodic(TwoScaleSpec(F(5, 7), F(3, 11), 3, 2)))),
+        lambda: apply_affine(gen_recursive_split(RecursiveSplitSpec(RECURSIVE_BASES[1], F(5, 3), 4)),
+                             ((F(0), F(-1, 3)), (F(1, 3), F(0))), (F(1, 5), F(-2, 7))),
+        lambda: TilingPatch(gen_two_scale_periodic(TwoScaleSpec(F(2), F(433, 250), 3, 3)).tiles),
+    ], ids=["recursive", "twoscale", "convex", "pair", "parsed", "affine", "rational"])
+    def test_lcm_route_runs(self, family):
+        assert "grid" not in vars(TilingPatch)
         patch = family()
+        assert "grid" in patch.__dict__
         g = build_incidence(patch)
         w_audit(g)
         min_margin(patch)
@@ -322,15 +322,20 @@ class TestGridHandOver:
         x = patch.tiles[0]
         centre = Point((x.a.x + x.b.x + x.c.x) / 3, (x.a.y + x.b.y + x.c.y) / 3)
         piece = extract_disk_patch(patch, centre, F(1, 10)).patch
+        assert "grid" in piece.__dict__
         asymptotic_audit(piece, [])
-        assert lcm_routes == []
 
-    def test_cli_generate_runs_no_lcm_route(self, lcm_routes, tmp_path, capsys):
+    def test_cli_generate_runs_no_lcm_route(self, monkeypatch, tmp_path, capsys):
+        """Each patch that `generate` writes holds its grid."""
+        held = []
+        write = cli.serialize_tiling
+        monkeypatch.setattr(cli, "serialize_tiling",
+                            lambda patch: held.append("grid" in patch.__dict__) or write(patch))
         for argv in (["twoscale", "--b", "2", "--h", "433/250", "--m", "6", "--n", "6"],
                      ["recursive", "--depth", "100"], ["convex", "--k", "9", "--seed", "4"],
                      *(["pair", "--kind", kind] for kind in ("line", "midpoint", "bisector"))):
             assert main(["generate", *argv, "-o", str(tmp_path / "out.til")]) == 0
-        assert lcm_routes == []
+        assert held == [True] * 6
 
 
 class TestNoFloatFunctions:

@@ -1,13 +1,14 @@
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tritile import (LengthExpr, Orientation, Point, ReflectionKind,
                      Triangle, congruence_check, equal_invariant_apexes,
-                     orientation, parse_rational, point_on_segment_interior,
+                     orientation, parse_rational, parse_tiling, point_on_segment_interior,
                      reflection_classify, triangle_metrics)
-from tritile.geometry import (format_rational, reflect_across_bisector,
+from tritile.geometry import (cross, format_rational, reflect_across_bisector,
                               reflect_across_line, reflect_through_midpoint)
 
 from conftest import dec, expr_decimal, rand_point, rand_triangle, shoelace
@@ -15,6 +16,7 @@ from fixtures import segment_sq_dist
 
 F = Fraction
 P = Point.of
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestOrientation:
@@ -33,6 +35,52 @@ class TestOrientation:
             assert orientation(b, a, c).value == -o.value
             assert orientation(a, c, b).value == -o.value
             assert orientation(c, b, a).value == -o.value
+
+
+class TestPointIsAPair:
+    """A point is its (x, y) tuple: hash, equality and order are the
+    tuple's on every vertex of every golden input, rational and on the
+    grid, and the arithmetic stays vector arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def vertex_sets(self):
+        out = []
+        for path in sorted(GOLDEN.glob("*.til")):
+            patch = parse_tiling(path.read_bytes())
+            for tiles, region in ((patch.tiles, patch.region), (patch.grid.tiles, patch.grid.region)):
+                out.append((path.name, tiles, sorted({p for t in tiles for p in t.vertices}
+                                                     | set(region or ()), key=repr)))
+        return out
+
+    def test_hash_equality_and_order_are_the_tuples(self, vertex_sets):
+        for name, _, pts in vertex_sets:
+            for p in pts:
+                pair = (p.x, p.y)
+                assert hash(p) == hash(pair) and p == pair and Point(*pair) == p, name
+                for q in pts:
+                    assert (p == q) == (pair == (q.x, q.y)), name
+                    assert (p < q) == (pair < (q.x, q.y)), name
+            assert sorted(pts) == sorted(pts, key=lambda p: (p.x, p.y)), name
+
+    def test_tiles_start_at_their_smallest_vertex(self, vertex_sets):
+        for name, tiles, _ in vertex_sets:
+            for t in tiles:
+                assert t.a == min(t.vertices) and cross(*t.vertices) > 0, name
+
+    def test_fields_are_read_only(self):
+        p = P(1, 2)
+        with pytest.raises(AttributeError):
+            p.x = F(3)
+        assert p == (1, 2)
+
+    def test_vector_arithmetic(self, vertex_sets):
+        for name, _, pts in vertex_sets:
+            for p, q in zip(pts, pts[1:]):
+                assert p + q == Point(p.x + q.x, p.y + q.y), name
+                assert p - q == Point(p.x - q.x, p.y - q.y), name
+                assert p.scale(F(-2, 3)) == Point(p.x * F(-2, 3), p.y * F(-2, 3)), name
+                assert type(p + q) is type(p - q) is Point and len(p + q) == 2, name
+        assert repr(P(F(1, 2), -3)) == "(1/2, -3)"
 
 
 class TestOnSegment:
@@ -218,7 +266,7 @@ class TestEqualInvariantApexes:
         for _ in range(8):
             t = rand_triangle(rng, scalene=True)
             x, y, z = t.vertices
-            got = sorted(equal_invariant_apexes(x, y, z), key=Point.key)
+            got = sorted(equal_invariant_apexes(x, y, z))
             oracle = ellipse_line_apexes(x, y, z)
             assert len(oracle) == len(got)
             scale = max(Decimal(1), *(abs(v) for p in oracle for v in p))

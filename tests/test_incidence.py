@@ -39,7 +39,7 @@ def recount_edges(patch: TilingPatch) -> int:
                         on.append(v)
             on.sort(key=lambda p: ((p.x - a.x) * dx + (p.y - a.y) * dy))
             for u, w in zip(on, on[1:]):
-                segments.add((u, w) if u.key() <= w.key() else (w, u))
+                segments.add((u, w) if u <= w else (w, u))
     return len(segments)
 
 
@@ -71,7 +71,7 @@ def recount_boundary_edges(patch: TilingPatch, region) -> tuple[list, list]:
     vertices strictly inside it and keep the pieces whose midpoint lies on
     an edge of the region polygon.  Returns (full, partial): the boundary
     sides with no cut, and the boundary pieces of cut sides, each piece as
-    a pair of points in `Point.key` order."""
+    a pair of points in ascending order."""
     vertices = {p for t in patch.tiles for p in t.vertices}
     edges = list(zip(region, region[1:] + region[:1]))
     full, part = [], []
@@ -84,7 +84,7 @@ def recount_boundary_edges(patch: TilingPatch, region) -> tuple[list, list]:
             for u, w in zip(seq, seq[1:]):
                 mid = (u + w).scale(F(1, 2))
                 if any(_strictly_inside(p, q, mid) for p, q in edges):
-                    (part if cuts else full).append(tuple(sorted((u, w), key=Point.key)))
+                    (part if cuts else full).append(tuple(sorted((u, w))))
     return full, part
 
 
@@ -214,12 +214,12 @@ class TestOracles:
             g = build_incidence(patch)
             worst = graph_audit(g).get("subdivides_at_most_one_side").value.split()[0]
             got = (g.v, g.v_bd, g.v_star, g.v_star_int, int(worst))
-            assert got == recount_vertices(patch, patch.region or g.region)
+            assert got == recount_vertices(patch, patch.region or patch.validation.derived_region)
 
     def test_boundary_edge_counts_match_brute_force(self):
         for patch in _brute_force_corpus():
             g = build_incidence(patch)
-            full, part = recount_boundary_edges(patch, patch.region or g.region)
+            full, part = recount_boundary_edges(patch, patch.region or patch.validation.derived_region)
             assert (g.e_full, g.e_part) == (len(full), len(part))
 
     def test_atomicity(self):

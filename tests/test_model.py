@@ -280,21 +280,20 @@ class TestAffine:
         (((F(1, 7), F(0)), (F(0), F(1, 7))), (F(0), F(0))),
         (((F(1), F(0)), (F(0), F(1))), (F(1, 3), F(-2, 5))),
     ], ids=["quarter-turn", "reflection", "x3", "x1/7", "shift"])
-    def test_int_route_matches_the_rational_oracle(self, monkeypatch, m, v):
+    def test_int_route_matches_the_rational_oracle(self, m, v):
         """On every golden input: the patch equals the one built from mapped
-        rational triangles, and its grid, handed over by `from_grid` with no
-        run of the lcm route, equals the one computed from those."""
-        prop = TilingPatch.__dict__["grid"]
-        route = prop.func
-        runs = []
-        monkeypatch.setattr(prop, "func", lambda patch: runs.append(patch) or route(patch))
+        rational triangles, and its grid, handed over by `from_grid`, equals
+        the one computed from those.  Both patches, the parsed one too, hold
+        their grid from the moment they are made."""
         for path in sorted(GOLDEN.glob("*.til")):
             patch = parse_tiling(path.read_bytes())
+            assert "grid" in patch.__dict__, path.name
             mapped = apply_affine(patch, m, v)
+            assert "grid" in mapped.__dict__, path.name
             want = apply_affine_rational(patch, m, v)
+            assert "grid" in want.__dict__, path.name
             assert mapped == want, path.name
             assert mapped.grid == lcm_grid(want), path.name
-            assert runs == [], path.name
 
 
 class TestSideLengthRange:

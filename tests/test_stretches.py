@@ -42,11 +42,11 @@ def brute_force_shared(patch: TilingPatch):
 
 def brute_force_shared_segments(patch: TilingPatch):
     """Group every side by its endpoint pair: (t1, t2, segment) triples,
-    segment endpoints in Point.key order, sorted by tile pair."""
+    segment endpoints in ascending order, sorted by tile pair."""
     by_segment: dict[tuple, list[int]] = {}
     for i, t in enumerate(patch.tiles):
         for p, q in t.sides():
-            seg = (p, q) if p.key() <= q.key() else (q, p)
+            seg = (p, q) if p <= q else (q, p)
             by_segment.setdefault(seg, []).append(i)
     triples = [(a, b, seg) for seg, tiles in by_segment.items()
                for k, a in enumerate(tiles) for b in tiles[k + 1:]]
