@@ -9,6 +9,7 @@ where one is needed, is an exact ``Fraction``, never a float.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -32,11 +33,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(q: Fraction) -> str:
-    """Lowest-terms text form, `p/q` only when the denominator is not 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(n: int, d: int) -> str:
+    """The text of n/d, d > 0, in lowest terms: `p/q`, or `p` when q is 1."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Orientation(Enum):

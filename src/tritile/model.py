@@ -67,7 +67,7 @@ class TilingPatch:
     A patch holds its :class:`Grid` and metadata and derives its rational
     tiles and region on first read; one built from rationals is put on
     the grid at once, by `to_grid` and `from_grid`.  Equality compares
-    tiles, region and metadata.
+    the rational tiles, region and metadata, on the grids' ints.
     """
 
     def __init__(self, tiles: Iterable[Triangle], region: Iterable[Point] | None = None,
@@ -81,12 +81,12 @@ class TilingPatch:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable TilingPatch")
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TilingPatch) and (
-            (self.tiles, self.region, self.metadata) == (other.tiles, other.region, other.metadata))
+    def __eq__(self, other: object) -> bool:  # each grid's ints put on the other's scale
+        return isinstance(other, TilingPatch) and self.metadata == other.metadata and (
+            self.grid.rows(other.grid.scale) == other.grid.rows(self.grid.scale))
 
     def __hash__(self) -> int:
-        return hash((self.tiles, self.region, self.metadata))
+        return hash((len(self.grid.tiles), self.metadata))  # scale-free, as equality is
 
     def __len__(self) -> int:
         return len(self.grid.tiles)
@@ -96,7 +96,9 @@ class TilingPatch:
         return Fraction(sum(cross(*t.vertices) for t in grid.tiles), 2 * grid.scale ** 2)
 
     def with_region(self, region: tuple[Point, ...] | None) -> "TilingPatch":
-        return TilingPatch(self.tiles, region, self.metadata)
+        # the grid's rows and the region, on their common scale
+        scale, (k, *ints) = to_grid(Fraction(1, self.grid.scale), *(c for p in region or () for c in p))
+        return TilingPatch.from_grid(scale, self.grid.rows(k)[0], region and ints, self.metadata)
 
     @classmethod
     def wrap(cls, grid: Grid, metadata: Iterable[tuple[str, str]] = ()) -> "TilingPatch":
@@ -180,6 +182,11 @@ class Grid:
             floor, ceil = self.roots[q]
             lo, hi = (lo + floor, hi + ceil) if k > 0 else (lo - ceil, hi - floor)
         return lo, hi
+
+    def rows(self, k: int) -> tuple[list[list[int]], list[int] | None]:
+        """`from_grid`'s rows and region on scale ``k * scale``: each grid int times k."""
+        rows = [[c * k for p in t.vertices for c in p] for t in self.tiles]
+        return rows, None if self.region is None else [c * k for p in self.region for c in p]
 
     def point(self, p: Point) -> Point:
         """The rational point that p, on the grid's scale, stands for."""
@@ -281,8 +288,8 @@ def serialize_tiling(patch: TilingPatch) -> bytes:
     text: dict[int, str] = {}  # one text per distinct int coordinate
 
     def coords(points: Iterable[Point]) -> str:
-        return " ".join([text.get(c) or text.setdefault(c, format_rational(Fraction(c, grid.scale)))
-                         for p in points for c in (p.x, p.y)])
+        return " ".join([text.get(c) or text.setdefault(c, format_rational(c, grid.scale))
+                         for p in points for c in p])
 
     out = [MAGIC]
     if grid.region is not None:

@@ -13,15 +13,16 @@ rationals (square roots of distinct squarefree kernels are), so the
 expression is zero exactly when no term survives.  That makes ``==`` and
 ``!=`` decidable by pure rational arithmetic; they never refine.
 
-``+``, ``-``, ``*`` and :meth:`LengthExpr.sum` store their operands; the
-canonical form is built when first read, from the operands' forms, so it
-is the form that merging at every step gives (``(sqrt(2) - sqrt(2)) +
-sqrt(8)`` is ``sqrt(8)``), and the operands are then freed.  ``sign()``
-reads it too: 0 if it is empty, else the side of 0 of its first enclosure,
-at ``START_BITS`` and then doubling precision, that excludes 0.  That
-terminates, however large the coordinates are, because the value is then
-nonzero and the width shrinks to 0.  The order comparisons ``<``, ``<=``,
-``>`` and ``>=`` are the sign of the difference.
+Every expression is merged when it is built: ``+``, ``-``, ``*`` and
+:meth:`LengthExpr.sum` merge their operands' canonical terms, scaled where
+needed, so the canonical form is the form that merging at every step
+gives (``(sqrt(2) - sqrt(2)) + sqrt(8)`` is ``sqrt(8)``), and an
+expression holds no operand.  ``sign()`` is 0 for an empty form, else the
+side of 0 of its first enclosure, at ``START_BITS`` and then doubling
+precision, that excludes 0.  That terminates, however large the
+coordinates are, because the value is then nonzero and the width shrinks
+to 0.  The order comparisons ``<``, ``<=``, ``>`` and ``>=`` are the sign
+of the difference.
 
 Radicands are stored as rationals, for ``repr``, but the arithmetic runs
 on integers: with r = n/d in lowest terms, sqrt(r) = sqrt(n*d)/d, so a
@@ -66,7 +67,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
+def _merge_terms(raw: Sequence[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
     """Canonicalize a list of (radicand, coefficient) pairs.
 
     Radicands with a rational-square ratio join one class; the class keeps
@@ -106,19 +107,15 @@ def _merge_terms(raw: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, 
 class LengthExpr:
     """Immutable exact sum of square roots of nonnegative rationals."""
 
-    __slots__ = ("_terms", "_parts")
+    __slots__ = ("terms",)
 
-    def __init__(self, parts: list[tuple] | None = None):
-        """The sum of parts, each a (radicand, coefficient) pair of rationals
-        or an (expression, multiplier) pair standing for multiplier times
-        that LengthExpr.  The parts are kept until the canonical form is
-        first read, then freed."""
-        parts = tuple(parts or ())
-        for x, k in parts:
-            if k and not isinstance(x, LengthExpr) and x.numerator < 0:
+    def __init__(self, terms: Sequence[tuple[Fraction, Fraction]] = ()):
+        """The sum of (radicand, coefficient) pairs of rationals, held as its
+        canonical pairs, ``terms``, radicands ascending."""
+        for r, c in terms:
+            if c and r.numerator < 0:
                 raise ValueError("negative radicand")
-        object.__setattr__(self, "_terms", None if parts else ())
-        object.__setattr__(self, "_parts", parts or None)
+        object.__setattr__(self, "terms", _merge_terms(terms))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LengthExpr is immutable")
@@ -134,15 +131,8 @@ class LengthExpr:
 
     @classmethod
     def sum(cls, exprs: Iterable["LengthExpr"]) -> "LengthExpr":
-        """The sum of all of exprs, canonicalised once (empty sum: zero)."""
-        return cls([(e, 1) for e in exprs])
-
-    @property
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Canonical (radicand, coefficient) pairs, radicands ascending."""
-        if self._terms is None:
-            _build_canonical(self)
-        return self._terms
+        """The sum of all of exprs, merged once (empty sum: zero)."""
+        return cls([t for e in exprs for t in e.terms])
 
     def is_zero(self) -> bool:
         # canonical form is empty iff the represented real is zero
@@ -160,12 +150,12 @@ class LengthExpr:
     def __add__(self, other: "LengthExpr") -> "LengthExpr":
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        return LengthExpr([(self, 1), (other, 1)])
+        return LengthExpr(self.terms + other.terms)
 
     def __sub__(self, other: "LengthExpr") -> "LengthExpr":
         if not isinstance(other, LengthExpr):
             return NotImplemented
-        return LengthExpr([(self, 1), (other, -1)])
+        return LengthExpr(self.terms + tuple((r, -c) for r, c in other.terms))
 
     def __neg__(self) -> "LengthExpr":
         return self * -1
@@ -173,7 +163,7 @@ class LengthExpr:
     def __mul__(self, k: Fraction | int) -> "LengthExpr":
         if not isinstance(k, (Fraction, int)):
             return NotImplemented
-        return LengthExpr([(self, k)] if k else None)
+        return LengthExpr([(r, c * k) for r, c in self.terms])
 
     __rmul__ = __mul__
 
@@ -258,35 +248,6 @@ class LengthExpr:
             return "0"
         iv = self.refine(Fraction(1, 10 ** (digits + 2)))
         return fraction_decimal(iv.midpoint, digits)
-
-
-def _build_canonical(e: LengthExpr) -> None:
-    """Build e's canonical form, and first, innermost first, that of every
-    operand below it that has none, then free their operands.  A node's
-    form is the merge of its operands' forms, as if each had been merged
-    when built: a class keeps the smallest radicand seen in its own
-    operand, even one whose terms cancelled there.  A canonical form times
-    k != 0 merges to itself times k."""
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if x._terms is not None:
-            stack.pop()
-            continue
-        parts = x._parts
-        pending = [y for y, _ in parts if isinstance(y, LengthExpr) and y._terms is None]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        raw: list[tuple[Fraction, Fraction]] = []
-        for y, k in parts:
-            if isinstance(y, LengthExpr):
-                raw += y._terms if k == 1 else [(r, c * k) for r, c in y._terms]
-            else:
-                raw.append((y, k))
-        object.__setattr__(x, "_terms", _merge_terms(raw))
-        object.__setattr__(x, "_parts", None)
 
 
 def _bounds(terms: Sequence[tuple[Fraction, Fraction]], bits: int) -> tuple[int, int, int]:

@@ -21,7 +21,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 
-from .geometry import Point, is_convex
+from .geometry import Point, format_rational, is_convex
 from .incidence import AtomicEdge, IncidenceGraph, LineKey, SideRef
 from .model import Grid, TilingPatch
 from .radicals import LengthExpr
@@ -71,9 +71,11 @@ class Stretch:
         return (deck[0], deck[1])
 
     def describe(self) -> str:
+        (ax, ay), (bx, by), d = self.above[0].a, self.above[-1].b, self.grid.scale  # a, b on the grid
         above = ",".join(i.label() for i in self.above)
         below = ",".join(i.label() for i in self.below)
-        return (f"span={self.a}->{self.b} size={self.size} "
+        return (f"span=({format_rational(ax, d)}, {format_rational(ay, d)})->"
+                f"({format_rational(bx, d)}, {format_rational(by, d)}) size={self.size} "
                 f"class={self.klass.value} decks=[{above}]/[{below}]")
 
 
@@ -372,14 +374,14 @@ def _tile_w(key: tuple, by_key: _Contributions, eps2_bounds: tuple[int, int],
         if hi + eps2_bounds[1] < 0 or (lo + eps2_bounds[0] < 0 and by_key[key].sign() < 0):
             fails.append("type1_nonnegative")
     if unit_perimeter:
-        contrib, eps2 = by_key[key], by_key.eps2
+        eps2 = by_key.eps2
         if perim != LengthExpr.rational(1):
             fails.append("unit_perimeter")
-        if n == 0 and not contrib.is_zero():
+        if n == 0 and not by_key[key].is_zero():
             fails.append("type0_zero")
-        if n == 2 and contrib < by_key.grid.length(min(sqs)) * 2 - eps2 * 2:
+        if n == 2 and by_key[key] < by_key.grid.length(min(sqs)) * 2 - eps2 * 2:
             fails.append("type2_bound")
-        if n == 3 and contrib != perim - eps2 * 3:
+        if n == 3 and by_key[key] != perim - eps2 * 3:
             fails.append("type3_value")
     return ("type0", "type1", "type2", "type3")[n], tuple(fails)
 

@@ -11,7 +11,7 @@ import pytest
 from tritile import (Point, RecursiveSplitSpec, Triangle, TwoScaleSpec, build_incidence,
                      gen_recursive_split, gen_two_scale_periodic, validate_patch)
 from tritile.cli import main
-from tritile.model import parse_tiling
+from tritile.model import Grid, TilingPatch, parse_tiling
 
 
 def run(argv, cwd):
@@ -510,6 +510,31 @@ class TestGridOnly:
             assert (code, err, rational) == (0, "", set()), argv
         # the hook sees the rational tiles a patch derives when they are read
         assert parse_tiling(Path(path).read_bytes()).tiles and rational
+
+    def test_equality_builds_none(self, rational):
+        """`==` and `hash` read the grids' ints, on either scale: only equal
+        tiles, region and metadata compare equal."""
+        text = (Path(__file__).parent / "golden" / "twoscale-2.til").read_bytes()
+        a, b = parse_tiling(text), parse_tiling(text)
+
+        def finer(p, k=3):
+            """p on a grid k times finer, as a disk piece keeps its ambient's scale."""
+            rows, region = p.grid.rows(k)
+            tiles = tuple(Triangle(*map(Point, r[::2], r[1::2])) for r in rows)
+            return TilingPatch.wrap(Grid(k * p.grid.scale, tiles, region and tuple(
+                map(Point, region[::2], region[1::2]))), p.metadata)
+
+        rows, region = a.grid.rows(1)
+        rows[0][0] += 1
+        moved = TilingPatch.from_grid(a.grid.scale, rows, region, a.metadata)
+        tagged = TilingPatch.wrap(a.grid, (*a.metadata, ("note", "x")))
+        others = [moved, tagged, a.with_region(None), a.with_region(a.region[:-1])]
+        assert a == b and hash(a) == hash(b)
+        assert finer(a) == a == finer(b, 5) and hash(finer(a)) == hash(a)
+        for other in others:
+            assert other != a and finer(other) != a and other != finer(a, 2)
+        assert a.with_region(a.region) == a
+        assert rational == set()
 
 
 GOLDEN_TIL = str(Path(__file__).parent / "golden" / "recursive-4.til")

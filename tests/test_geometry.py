@@ -333,8 +333,9 @@ class TestRationalText:
             parse_rational(bad)
 
     def test_format_lowest_terms(self):
-        assert format_rational(F(6, 4)) == "3/2"
-        assert format_rational(F(-8, 2)) == "-4"
+        assert format_rational(6, 4) == "3/2"
+        assert format_rational(-8, 2) == "-4"
+        assert (format_rational(0, 5), format_rational(7, 1)) == ("0", "7")
 
     def test_segment_sq_dist(self):
         assert segment_sq_dist(P(0, 0), P(4, 0), P(2, 3)) == 9

@@ -3,7 +3,7 @@
 `tests/golden/` holds four small inputs: a 2x2 two-scale grid, depth-4 and
 depth-12 recursive splits, whose squared sides reach 4 and 11 digits, and
 a k=6 convex triangulation.  With them it keeps the exact stdout of
-`audit`, `audit --disk`, `stretches`, `stats` and
+`audit`, `audit --disk`, `audit --unit-perimeter`, `stretches`, `stats` and
 `stats --precision-bits 256` on each, the SVG written by
 `render --stretch-overlay --labels`, and the exit codes.
 It also holds hand-made invalid inputs (`invalid-*.til`) with the exact
@@ -57,6 +57,7 @@ def outputs(name: str, til: str, workdir: Path) -> dict[str, tuple[int, bytes]]:
     result = {}
     for cmd, argv in (("audit", ["audit", til]),
                       ("audit_disk", ["audit", til, "--disk", disk]),
+                      ("audit_unit_perimeter", ["audit", til, "--unit-perimeter"]),
                       ("stretches", ["stretches", til]),
                       ("stats", ["stats", til])):
         code, text = _run(argv)

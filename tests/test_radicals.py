@@ -503,8 +503,9 @@ def _build(recipe, cls, memo: dict, read_terms=None):
 
 
 class TestDeferredCanonicalForm:
-    """The canonical form is built when read, from the operands' forms, so
-    every observable agrees with the eager oracle, in any reading order."""
+    """The canonical form when built: each expression merges its operands'
+    forms at once, so every observable agrees with the eager oracle, in any
+    reading order.  (The class keeps its name so that its test ids stay stable.)"""
 
     def test_cancelled_operand_keeps_its_radicand(self):
         assert repr((sq(2) - sq(2)) + sq(8)) == "sqrt(8)"
@@ -516,22 +517,21 @@ class TestDeferredCanonicalForm:
             LengthExpr([(F(-1), F(1))])
         assert LengthExpr([(F(-1), F(0))]).is_zero()
 
-    def test_read_frees_the_operands(self):
+    def test_built_form_holds_no_operand(self):
         e = sq(2) + sq(8)
+        assert LengthExpr.__slots__ == ("terms",) and e.terms == ((F(2), F(3)),)
         assert e.sign() == 1
         assert repr(e) == "3*sqrt(2)"
-        assert e._parts is None
 
     def test_sign_settled_by_bounds_builds_nothing(self):
         e = LengthExpr.sum([sq(3), sq(12), LengthExpr.rational(-1)])
         assert e.sign() == 1 and e < LengthExpr.rational(6)
 
     def test_comparison_merges_each_operand_once(self, monkeypatch):
-        """A comparison builds both operands' canonical forms, so repeating
-        it merges only the new difference node."""
+        """Both operands were merged when built, so a comparison merges
+        only its new difference node."""
         x, y = sq(2) + sq(8), sq(3) + sq(5)
         assert y < x
-        assert x._parts is None and y._parts is None
         merged = []
         merge = radicals._merge_terms
         monkeypatch.setattr(radicals, "_merge_terms", lambda raw: merged.append(raw) or merge(raw))

@@ -642,6 +642,20 @@ class TestType1IntegerSign:
             contributions, _, _ = w_tiles_oracle(g, False)
             assert [repr(c) for c in audit.contributions] == [repr(c) for c in contributions]
 
+    def test_unit_perimeter_builds_no_settled_type1_contribution(self, monkeypatch):
+        """Under the unit-perimeter checks, only type-0, type-2, type-3 and
+        exceptional keys build their contribution; a type-1 key whose sign
+        the integer bounds settle builds none."""
+        built = []
+        missing = _Contributions.__missing__
+        monkeypatch.setattr(_Contributions, "__missing__",
+                            lambda self, key: built.append(key) or missing(self, key))
+        audit = w_audit(build_incidence(recursive(40)), unit_perimeter=True)
+        type1 = {k for k in audit.tile_keys
+                 if k[3:].count(self.LONG) == 1 and SideLabel.NONE not in k[3:]}
+        assert type1 and len(built) == len(set(built))
+        assert set(built) == set(audit.tile_keys) - type1
+
 
 def w_tiles_oracle(g, unit_perimeter):
     """The W audit's per-tile part, tile by tile with no memo: the
@@ -705,14 +719,15 @@ class TestSidesReadOnce:
         from tritile.extract import asymptotic_audit
         from tritile.stretches import min_margin
         squares, roots = self.counters(monkeypatch)
-        w_roots = []
+        margin_roots, w_roots = [], []
         for patch in (small, big):
             g = build_incidence(patch)
             grid = patch.grid
             distinct = {q for sqs in grid.side_squares for q in sqs}
             del squares[:], roots[:]
             min_margin(patch)
-            assert (len(squares), len(roots)) == (0, len(distinct))
+            assert len(squares) == 0
+            margin_roots.append(len(roots) - len(distinct))
             del roots[:]
             w_audit(g)
             assert len(squares) == 0
@@ -721,8 +736,11 @@ class TestSidesReadOnce:
             # one per boundary edge (an atomic edge, not a tile side)
             assert len(squares) == len(g.boundary_edges)
             assert set(grid.roots) == distinct
-        # no side rooted again: w_audit roots only for eps2's written form,
-        # its decimals and the W routes' comparison, the same at any size
+        # no side rooted again: min_margin roots each distinct square once,
+        # plus the merges of its candidate margins, and w_audit only for
+        # eps2's written form, its decimals and the W routes' comparison,
+        # the same at any size
+        assert margin_roots[0] == margin_roots[1]
         assert w_roots[0] == w_roots[1]
 
     def test_grid_reads_match_a_fresh_computation(self):
