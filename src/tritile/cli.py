@@ -1,6 +1,12 @@
 """Command-line frontend: generate, validate, audit, inspect and render
 tilings in the TILING/1 format.
 
+A well-formed command line is read from one table, `_TABLE`: a known
+command (and family), each option once by its exact name with one value
+token, the right positionals, and values that their converters and choices
+accept.  argparse, imported only then, reads every other command line from
+the same table: help, usage errors, abbreviations, `--opt=value`, repeats.
+
 Exit codes: 0 success, 1 failed checks or bad input data (an option too
 large to compute with included), 2 usage error, 3 internal error (a bug:
 one line on stderr, no traceback).
@@ -8,12 +14,12 @@ one line on stderr, no traceback).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .extract import asymptotic_audit, extract_disk_patch
 from .generators import (GeneratorError, RecursiveSplitSpec, TwoScaleSpec,
@@ -44,6 +50,7 @@ _LONG_OPTION = re.compile(r"--[a-z][a-z-]*")
 def _int(text: str) -> int:
     """An integer option, in ASCII digits like TILING/1 numbers."""
     if not _INT.fullmatch(text):
+        import argparse
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
@@ -51,6 +58,7 @@ def _int(text: str) -> int:
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -185,7 +193,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _adder(parser: argparse.ArgumentParser, dest: str, names, argv: Sequence[str]):
+def _adder(parser, dest: str, names, argv: Sequence[str]):
     """`add_parser` of required subparsers that lists every one of `names` in
     usage lines but builds only argv's first item if it is one (None for the rest)."""
     named = bool(argv) and argv[0] in names
@@ -194,65 +202,111 @@ def _adder(parser: argparse.ArgumentParser, dest: str, names, argv: Sequence[str
     return lambda name, **kw: sub.add_parser(name, **kw) if not named or name == argv[0] else None
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of argv's command alone (of all if argv names none), with the full usage."""
+_FLAG = {"action": "store_true"}
+_FILE = (("file",), {})
+_OUTPUT = (("-o", "--output"), {"required": True})
+
+#: Each command's help and arguments (each family's, for `generate`) as the
+#: names and keywords of `add_argument`; the last name, or `dest`, names the
+#: attribute.  The arguments in a list exclude each other.
+_TABLE = {
+    "generate": ("generate a tiling family", {
+        "recursive": (
+            (("--base",), dict(default="0,0,1,0,0,1", help="six rationals: the inner triangle")),
+            (("--t",), dict(default="2", help="expansion factor, rational > 1")),
+            (("--depth",), dict(type=_int, default=1)), _OUTPUT),
+        "twoscale": (
+            (("--b",), dict(default="1", help="big-triangle base")),
+            (("--h", "--height"), dict(dest="height", default="1", help="big-triangle height")),
+            (("--m",), dict(type=_int, default=3)), (("--n",), dict(type=_int, default=3)), _OUTPUT),
+        "convex": (
+            (("--k",), dict(type=_int, default=5)), (("--seed",), dict(type=_int, default=0)),
+            (("--strategy",), dict(choices=("fan", "random"), default="random")), _OUTPUT),
+        "pair": (
+            (("--triangle",), dict(default="0,0,4,0,1,3")),
+            (("--kind",), dict(choices=("line", "midpoint", "bisector"), default="midpoint")),
+            _OUTPUT)}),
+    "validate": ("check that a file is a tiling", (_FILE,)),
+    "audit": ("run the combinatorial audits", (
+        _FILE, (("--unit-perimeter",), _FLAG),
+        (("--disk",), dict(metavar="CX,CY,R2", help="restrict to the open disk before auditing")),
+        (("--require-applicable",), dict(_FLAG, help="treat n/a checks as failures")),
+        [(("--expect-shared",), _FLAG), (("--expect-none",), _FLAG)])),
+    "stretches": ("print the stretch decomposition", (_FILE,)),
+    "stats": ("print counts and side-length range", (
+        _FILE, (("--precision-bits",), dict(type=_positive_int, default=64)))),
+    "render": ("write an SVG figure", (
+        _FILE, _OUTPUT, (("--width",), dict(type=_positive_int, default=800)),
+        (("--stretch-overlay",), _FLAG), (("--labels",), _FLAG))),
+}
+
+
+def build_parser(argv: Sequence[str] = ()):
+    """The argparse parser of argv's command alone (of all if argv names
+    none), with the full usage."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tritile",
         description="construct, validate and audit triangular tilings")
-    add = _adder(parser, "command", _COMMANDS, argv)
-
-    if gen := add("generate", help="generate a tiling family"):
-        family = _adder(gen, "family", ("recursive", "twoscale", "convex", "pair"), argv[1:])
-        if rec := family("recursive"):
-            rec.add_argument("--base", default="0,0,1,0,0,1",
-                             help="six rationals: the inner triangle")
-            rec.add_argument("--t", default="2", help="expansion factor, rational > 1")
-            rec.add_argument("--depth", type=_int, default=1)
-        if two := family("twoscale"):
-            two.add_argument("--b", default="1", help="big-triangle base")
-            two.add_argument("--h", "--height", dest="height", default="1",
-                             help="big-triangle height")
-            two.add_argument("--m", type=_int, default=3)
-            two.add_argument("--n", type=_int, default=3)
-        if con := family("convex"):
-            con.add_argument("--k", type=_int, default=5)
-            con.add_argument("--seed", type=_int, default=0)
-            con.add_argument("--strategy", choices=("fan", "random"), default="random")
-        if pair := family("pair"):
-            pair.add_argument("--triangle", default="0,0,4,0,1,3")
-            pair.add_argument("--kind", choices=("line", "midpoint", "bisector"),
-                              default="midpoint")
-        for p in filter(None, (rec, two, con, pair)):
-            p.add_argument("-o", "--output", required=True)
-
-    if val := add("validate", help="check that a file is a tiling"):
-        val.add_argument("file")
-
-    if aud := add("audit", help="run the combinatorial audits"):
-        aud.add_argument("file")
-        aud.add_argument("--unit-perimeter", action="store_true")
-        aud.add_argument("--disk", metavar="CX,CY,R2",
-                         help="restrict to the open disk before auditing")
-        aud.add_argument("--require-applicable", action="store_true",
-                         help="treat n/a checks as failures")
-        group = aud.add_mutually_exclusive_group()
-        group.add_argument("--expect-shared", action="store_true")
-        group.add_argument("--expect-none", action="store_true")
-
-    if stre := add("stretches", help="print the stretch decomposition"):
-        stre.add_argument("file")
-
-    if stat := add("stats", help="print counts and side-length range"):
-        stat.add_argument("file")
-        stat.add_argument("--precision-bits", type=_positive_int, default=64)
-
-    if ren := add("render", help="write an SVG figure"):
-        ren.add_argument("file")
-        ren.add_argument("-o", "--output", required=True)
-        ren.add_argument("--width", type=_positive_int, default=800)
-        ren.add_argument("--stretch-overlay", action="store_true")
-        ren.add_argument("--labels", action="store_true")
+    command = _adder(parser, "command", _TABLE, argv)
+    for name, (text, spec) in _TABLE.items():
+        sub = command(name, help=text)
+        if sub and type(spec) is dict:
+            family = _adder(sub, "family", spec, argv[1:])
+            parsers = [(family(f), args) for f, args in spec.items()]
+        else:
+            parsers = [(sub, spec)]
+        for p, args in parsers:
+            for item in args if p else ():
+                group = p.add_mutually_exclusive_group() if type(item) is list else p
+                for names, kw in item if type(item) is list else [item]:
+                    group.add_argument(*names, **kw)
     return parser
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives a well-formed argv (see the module
+    docstring), or None."""
+    if not argv or argv[0] not in _TABLE:
+        return None
+    got, spec, rest = {"command": argv[0]}, _TABLE[argv[0]][1], argv[1:]
+    if type(spec) is dict:
+        if not rest or rest[0] not in spec:
+            return None
+        got["family"], spec, rest = rest[0], spec[rest[0]], rest[1:]
+    options, files, given = {}, [], set()
+    for item in spec:
+        for names, kw in item if type(item) is list else [item]:
+            dest = kw.get("dest") or names[-1].lstrip("-").replace("-", "_")
+            if names[0][0] == "-":  # given at most once, with the rest of its list
+                options.update(dict.fromkeys(names, (dest, kw, id(item))))
+                got[dest] = kw.get("default", False if "action" in kw else None)
+            else:
+                files.append(dest)
+    tokens = iter(rest)
+    for token in tokens:
+        if token[:1] != "-" and files:
+            got[files.pop(0)] = token
+            continue
+        dest, kw, once = options.get(token, (None, None, None))
+        if once is None or once in given:
+            return None
+        given.add(once)
+        if "action" in kw:
+            got[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-" and not (token[:2] == "--" and _NEGATIVE.match(value)):
+            return None
+        try:
+            got[dest] = kw.get("type", str)(value)
+        except Exception:  # argparse converts the value again and reports the failure
+            return None
+        if "choices" in kw and got[dest] not in kw["choices"]:
+            return None
+    missing = files or any(kw.get("required") and once not in given
+                           for _, kw, once in options.values())
+    return None if missing else SimpleNamespace(**got)
 
 
 _COMMANDS = {
@@ -287,8 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        argv = _joined_negative_values(sys.argv[1:] if argv is None else argv)
-        args = build_parser(argv).parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read(argv)
+        if args is None:  # help, or a usage error to report
+            argv = _joined_negative_values(argv)
+            args = build_parser(argv).parse_args(argv)
         return _COMMANDS[args.command](args)
     except (TilingParseError, GeneratorError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

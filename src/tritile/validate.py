@@ -239,17 +239,27 @@ def _check_region_polygon(region: tuple[Point, ...], pt) -> list[Violation]:
 
 
 def _region_line_spans(region: tuple[Point, ...]):
-    """Per-line intervals of the sides of a canonical region: collinear
-    neighbours are fused, and non-adjacent sides of a simple polygon never
-    touch, so each boundary edge lies inside one interval or none."""
+    """Per-line intervals of the sides of a canonical region, as (hi, lo)
+    in order: collinear neighbours are fused, and non-adjacent sides of a
+    simple polygon never touch, so the intervals on a line are disjoint and
+    each boundary edge lies inside one of them or none."""
     spans: dict = {}
     n = len(region)
     for i in range(n):
         a, b = region[i], region[(i + 1) % n]
         key = line_through(a, b)
         ka, kb = line_pos(key, a), line_pos(key, b)
-        spans.setdefault(key, []).append((min(ka, kb), max(ka, kb)))
+        spans.setdefault(key, []).append((max(ka, kb), min(ka, kb)))
+    for line in spans.values():
+        line.sort()
     return spans
+
+
+def _within(spans, lo: int, hi: int) -> bool:
+    """Whether [lo, hi] lies inside one of the disjoint (hi, lo) spans, in
+    order: the first span that reaches hi is the only one that can hold it."""
+    i = bisect_left(spans, (hi,))
+    return i < len(spans) and spans[i][1] <= lo
 
 
 def _count_parts(n: int, groups) -> int:
@@ -302,13 +312,11 @@ def validate_patch(patch: TilingPatch) -> ValidationReport:
                     f"tiles on the same side of edge {pt(edge.a)}-{pt(edge.b)}"))
         else:
             boundary.append(edge)
-            if region_spans is not None:
-                spans = region_spans.get(edge.line)
-                if spans is None or not any(lo <= edge.lo and edge.hi <= hi
-                                            for lo, hi in spans):
-                    violations.append(Violation(
-                        UNMATCHED_EDGE, tuple(edge.tiles),
-                        f"edge {pt(edge.a)}-{pt(edge.b)} borders one tile off the region boundary"))
+            if region_spans is not None and not _within(region_spans.get(edge.line, ()),
+                                                        edge.lo, edge.hi):
+                violations.append(Violation(
+                    UNMATCHED_EDGE, tuple(edge.tiles),
+                    f"edge {pt(edge.a)}-{pt(edge.b)} borders one tile off the region boundary"))
 
     cycles, pinched = _walk_boundary(boundary, pt)
     violations.extend(pinched)

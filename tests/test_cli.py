@@ -1,6 +1,9 @@
 import argparse
 import gc
 import io
+import json
+import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -543,8 +546,9 @@ FAMILY_NAMES = ("recursive", "twoscale", "convex", "pair")
 
 
 class TestParserPerCommand:
-    """`main` builds only the parser of the command it runs; what the user
-    sees (stdout, stderr, exit code) is what the full parser gives."""
+    """`main` reads a well-formed argv from the option table and builds
+    argparse's parser of the command it runs for any other; what the user
+    sees (stdout, stderr, exit code) is what the full parser alone gives."""
 
     @staticmethod
     def outcome(argv):
@@ -562,13 +566,22 @@ class TestParserPerCommand:
         ["generate"], ["generate", "bogus"], ["generate", "recursive"], ["render", "f"],
         ["stats", "f", "--precision-bits", "0"], ["audit", GOLDEN_TIL, "--disk", "-1,0,4"],
         ["generate", "recursive", "-o", "x", "extra"],
+        ["audit", GOLDEN_TIL, "--unit"], ["audit", GOLDEN_TIL, "--disk=-1,0,4"],
+        ["generate", "twoscale", "--m", "3", "--m", "4", "-o", "OUT"],
+        ["validate", "--", GOLDEN_TIL], ["generate", "convex", "--strategy", "bogus", "-o", "x"],
+        ["generate", "twoscale", "--m", "\u0663", "-o", "x"],
+        ["render", "f", "-o", "s", "--width", "0"], ["render", "f", "-o", "-1x"],
+        ["stats", GOLDEN_TIL, "--precision-bits", "2", "--precision-bits", "3"],
         *([name, "--help"] for name in COMMAND_NAMES),
         *(["generate", name, "--help"] for name in FAMILY_NAMES),
     ], ids=lambda argv: " ".join(argv).replace(GOLDEN_TIL, "f") or "no-args")
-    def test_same_as_full_parser(self, argv, monkeypatch):
+    def test_same_as_full_parser(self, argv, monkeypatch, tmp_path):
         import tritile.cli
+        monkeypatch.chdir(tmp_path)
+        argv = [str(tmp_path / "t.til") if a == "OUT" else a for a in argv]
         got = self.outcome(argv)
         full = tritile.cli.build_parser
+        monkeypatch.setattr(tritile.cli, "_read", lambda argv: None)
         monkeypatch.setattr(tritile.cli, "build_parser", lambda argv=(): full())
         assert got == self.outcome(argv)
         assert got[0] in (0, 1, 2) and (got[1] or got[2])
@@ -603,3 +616,127 @@ class TestParserPerCommand:
         top = choices(build_parser(argv))
         assert tuple(top) == command
         assert family is None or tuple(choices(top["generate"])) == family
+
+
+def _table_argv(rng: random.Random, out: str) -> list[str]:
+    """An argv built from the option table's own tokens, well formed or
+    with one mutation: a bad value, a missing, repeated, abbreviated or
+    excluded option, `--opt=value`, `--`, help, a stray positional."""
+    from tritile.cli import _TABLE, _int, _positive_int
+    argv = [rng.choice(list(_TABLE))]
+    spec = _TABLE[argv[0]][1]
+    if isinstance(spec, dict):
+        argv.append(rng.choice(list(spec)))
+        spec = spec[argv[1]]
+    chunks = []
+    for item in spec:
+        group = item if isinstance(item, list) else [item]
+        for names, kw in rng.sample(group, 1) if len(group) > 1 else group:
+            name = rng.choice(names)
+            if name[0] != "-":
+                chunks.append([rng.choice([GOLDEN_TIL, "missing.til"])])
+            elif kw.get("action"):
+                chunks.append([name] * (rng.random() < 0.5))
+            elif kw.get("required") or rng.random() < 0.6:
+                value = (out if kw.get("required") else
+                         rng.choice(kw["choices"]) if "choices" in kw else
+                         rng.choice(["0", "1", "2", "3", "-1"]) if kw.get("type") is _int else
+                         rng.choice(["1", "8", "80"]) if kw.get("type") is _positive_int else
+                         rng.choice(["1", "1/2", "-1,0,1", "0,0,1", "0,0,1,0,0,1", "x", ""]))
+                chunks.append([name, value])
+    rng.shuffle(chunks)
+    if rng.random() < 0.6:
+        options = [c for c in chunks if c and c[0][0] == "-"]
+        pick = rng.choice(options) if options else None
+        mutation = rng.randrange(12)
+        if mutation == 0 and pick and len(pick) == 2:
+            pick.pop()                                          # a missing value
+        elif mutation == 1 and pick:
+            chunks.append(list(pick))                           # a repeat
+        elif mutation == 2 and pick and pick[0][:2] == "--" and len(pick[0]) > 3:
+            pick[0] = pick[0][:-1]                              # an abbreviation
+        elif mutation == 3 and pick and len(pick) == 2:
+            pick[:] = [f"{pick[0]}={pick[1]}"]
+        elif mutation == 4:
+            chunks.insert(rng.randrange(len(chunks) + 1), ["--"])
+        elif mutation == 5:
+            chunks.insert(rng.randrange(len(chunks) + 1), [rng.choice(["-h", "--help"])])
+        elif mutation == 6:
+            chunks.append([rng.choice(["extra", "-1", "-x", "--bogus"])])
+        elif mutation == 7:
+            chunks = [c for c in chunks if c and c[0][0] == "-"]   # no positional
+        elif mutation == 8:
+            chunks = [c for c in chunks if c[:1] not in (["-o"], ["--output"])]
+        elif mutation == 9 and pick and len(pick) == 2:
+            pick[1] = rng.choice(["0", "-5", "-1x", "\u0663", "+3", "0_3", "x", "bogus", "-x", "-"])
+        elif mutation == 10 and argv[0] == "audit":
+            chunks += [["--expect-shared"], ["--expect-none"]]
+        elif mutation == 11:
+            argv[-1] = rng.choice([argv[-1][:-1], argv[-1].upper(), "bogus"])
+    return argv + [token for chunk in chunks for token in chunk]
+
+
+class TestReader:
+    """The table reader against argparse as the oracle, on argv built from
+    the table's own tokens: what the reader accepts, argparse accepts with
+    equal attributes; what it declines ends as argparse alone ends it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_argparse(self, seed, tmp_path, monkeypatch):
+        import tritile.cli
+        monkeypatch.chdir(tmp_path)  # a mutated output name may be any token
+        rng = random.Random(seed)
+        accepted = declined = 0
+        for _ in range(150):
+            argv = _table_argv(rng, str(tmp_path / "out"))
+            read = tritile.cli._read(argv)
+            if read is not None:
+                joined = tritile.cli._joined_negative_values(argv)
+                assert vars(tritile.cli.build_parser(joined).parse_args(joined)) == vars(read), argv
+                accepted += 1
+                continue
+            got = TestParserPerCommand.outcome(argv)
+            with monkeypatch.context() as m:
+                m.setattr(tritile.cli, "_read", lambda argv: None)
+                assert got == TestParserPerCommand.outcome(argv), argv
+            declined += 1
+        assert accepted >= 30 and declined >= 30
+
+
+def test_well_formed_calls_load_no_argparse(tmp_path):
+    """Neither `import tritile.cli` nor a well-formed call of any shape the
+    benchmark runs loads argparse, gettext or locale; a usage error still
+    gets argparse's usage and exit code 2."""
+    import tritile
+    golden = str(Path(__file__).parent / "golden" / "twoscale-2.til")
+    calls = [["validate", golden], ["audit", golden], ["audit", golden, "--disk", "2,3/2,1"],
+             ["render", golden, "-o", str(tmp_path / "t.svg"), "--stretch-overlay", "--labels"],
+             ["generate", "twoscale", "--b", "2", "--h", "433/250", "--m", "2", "--n", "2",
+              "-o", str(tmp_path / "t.til")],
+             ["generate", "recursive", "--depth", "3", "-o", str(tmp_path / "r.til")],
+             ["audit"]]
+    script = """if True:
+        import contextlib, io, json, sys
+        start = set(sys.modules)
+        sys.path.insert(0, sys.argv[1])
+        from tritile.cli import main
+        lazy = {"argparse", "gettext", "locale"}
+        print(json.dumps(sorted(lazy & (set(sys.modules) - start))))
+        for argv in json.loads(sys.argv[2]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            loaded = sorted(lazy & (set(sys.modules) - start))
+            print(json.dumps([code, err.getvalue()[:21], loaded]))
+    """
+    src = str(Path(tritile.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", script, src, json.dumps(calls)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[0] == []
+    assert lines[1:-1] == [[0, "", []]] * (len(calls) - 1)
+    assert lines[-1][:2] == [2, "usage: tritile audit "]

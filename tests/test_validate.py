@@ -9,7 +9,7 @@ from tritile import (Point, RecursiveSplitSpec, RegionError, TilingPatch, Triang
                      validate_patch)
 from tritile.validate import (DISCONNECTED, EMPTY, HOLE,
                               NOT_SIMPLE, OVERLAP, REGION_INVALID,
-                              REGION_MISMATCH, UNMATCHED_EDGE, elide_collinear,
+                              REGION_MISMATCH, UNMATCHED_EDGE, _within, elide_collinear,
                               point_in_polygon)
 
 import fixtures
@@ -261,3 +261,17 @@ class TestHelpers:
     def test_elide_collinear(self):
         poly = (P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2))
         assert elide_collinear(poly) == (P(0, 0), P(2, 0), P(2, 2), P(0, 2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_within_matches_a_scan(self, seed):
+        """The bisect lookup of an edge's region span agrees with scanning
+        every span, on random disjoint spans and edges that touch, straddle
+        or fall between them."""
+        r = random.Random(seed)
+        for _ in range(200):
+            ends = sorted(r.sample(range(-40, 40), 2 * r.randrange(6)))
+            spans = sorted((hi, lo) for lo, hi in zip(ends[::2], ends[1::2]))
+            lo = r.randrange(-45, 45)
+            hi = lo + r.randrange(1, 12)
+            scan = any(s_lo <= lo and hi <= s_hi for s_hi, s_lo in spans)
+            assert _within(spans, lo, hi) == scan, (spans, lo, hi)
